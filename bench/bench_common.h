@@ -115,14 +115,8 @@ parseBenchArgs(int argc, char **argv)
     }
     if (args.timeline_cap)
         obs::timeline().setCapacity(args.timeline_cap);
-    if (args.timeline_path) {
-        if (!obs::kObsCompiled)
-            std::fprintf(stderr,
-                         "warning: --timeline requested but "
-                         "observability is compiled out (RIO_OBS=OFF); "
-                         "the trace will be empty\n");
+    if (args.timeline_path)
         obs::timeline().setRecording(true);
-    }
     if (args.slo)
         obs::setSloRecording(true);
     return args;

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Observability lane: build with the obs layer explicitly ON, prove
-# the zero-cost invariant (golden benches byte-identical with full
+# Observability lane: build a Release tree, prove the zero-cost
+# invariant (golden benches byte-identical with full
 # instrumentation), and validate the Chrome-trace export end to end:
 # a fault-storm run must produce parseable trace_event JSON with
 # paired QI async spans and at least one flight-recorder dump marker.
@@ -13,7 +13,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-obs}"
 
-cmake -B "$BUILD_DIR" -S . -DRIO_OBS=ON -DCMAKE_BUILD_TYPE=Release
+cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 # The obs-specific suites plus every golden byte-for-byte check.

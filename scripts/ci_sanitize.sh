@@ -49,8 +49,7 @@ export RIO_VIRT_EXTRA_SEEDS="6007,28657"
 # Everything that actually runs worker threads: the parallel engine's
 # determinism suite, the obs layer's concurrent-update test (atomic
 # counters/gauges, spin-locked histograms, locked registry), and a
-# real threaded sweep via bench_selfperf — four lanes on four workers
-# with batched accounting on, the PR's headline configuration.
+# real threaded sweep via bench_selfperf — four lanes on four workers.
 cmake -B "$TSAN_DIR" -S . -DRIO_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$TSAN_DIR" -j "$(nproc)" -- \
@@ -79,7 +78,7 @@ RIO_BENCH_QUICK=1 "$TSAN_DIR/bench/bench_tail_latency" \
 unset TSAN_OPTIONS
 
 # Observability lane: zero-cost goldens + timeline export validation
-# (its own build dir; obs is ON by default but the lane pins it).
+# (its own build dir).
 scripts/ci_obs.sh
 
 # Virtualization lane: virt suites, bare-platform no-op golden, guest

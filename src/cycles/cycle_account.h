@@ -64,19 +64,6 @@ class CycleAccount
         cycles_[static_cast<unsigned>(cat)] += c;
     }
 
-    /**
-     * Charge a whole burst at once: @p c cycles covering @p n ops.
-     * Identical totals to n charge() calls — the batching entry used
-     * by cycles::BatchCharge on paths with no intervening
-     * virtualNow() reads.
-     */
-    void
-    chargeBatch(Cat cat, Cycles c, u64 n)
-    {
-        cycles_[static_cast<unsigned>(cat)] += c;
-        ops_[static_cast<unsigned>(cat)] += n;
-    }
-
     Cycles get(Cat cat) const
     {
         return cycles_[static_cast<unsigned>(cat)];

@@ -641,8 +641,6 @@ Migrator::arenaHash(bool target) const
 void
 Migrator::emitPhase(u64 arg, u64 arg2)
 {
-    if (!obs::kObsCompiled)
-        return;
     des::Core &core = cl_.machine(cfg_.src).core(0);
     obs::Event ev;
     ev.kind = obs::Ev::kMigPhase;

@@ -8,7 +8,7 @@
  * Two invariants carried by every metric:
  *  - zero simulated cost: updating a metric never charges cycles,
  *    never draws RNG, never touches simulated memory — golden benches
- *    replay bit-for-bit with instrumentation compiled in;
+ *    replay bit-for-bit with full instrumentation;
  *  - determinism: metrics live in registration order, and a
  *    deterministic run produces an identical snapshot() every time.
  *
@@ -105,13 +105,6 @@ class Histogram
 
     void observe(u64 v);
 
-    /**
-     * Observe @p n values in one lock acquisition — the hot-path
-     * batching entry (cycles::BatchCharge, burst-coalesced DMA
-     * spans). Identical final state to n observe() calls.
-     */
-    void observeBatch(const u64 *vs, size_t n);
-
     u64 count() const;
     u64 sum() const;
     double avg() const;
@@ -133,8 +126,6 @@ class Histogram
     void reset();
 
   private:
-    void observeLocked(u64 v);
-
     /** Contention is rare (one observer per lane, short sections) so
      * a spinlock beats a mutex on the per-op path. */
     struct SpinGuard
@@ -210,10 +201,7 @@ class Registry
     /** Flattened values in registration order (determinism checks). */
     std::vector<SnapshotEntry> snapshot() const;
 
-    /** Zero every value, keep registrations (between bench runs).
-     * Flushes pending Deferred accumulators first (like snapshot()),
-     * so batched pre-reset deltas are wiped rather than leaking into
-     * post-reset totals. Barrier points only. */
+    /** Zero every value, keep registrations (between bench runs). */
     void resetValues();
 
     /** Drop everything — invalidates cached metric pointers; tests

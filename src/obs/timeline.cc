@@ -57,8 +57,6 @@ Timeline::setCapacity(size_t per_track)
 void
 Timeline::emit(const Event &e)
 {
-    if (!kObsCompiled)
-        return;
     // Auto-attach the thread's current trace context: any event
     // emitted while a TraceScope is live (a mail delivery, a wire
     // handler, a replay) becomes a child span of that op without the

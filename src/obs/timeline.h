@@ -6,11 +6,9 @@
  * per (machine, core), async arrows for QI issue→complete spans.
  *
  * Gating, from cheapest to most detailed:
- *  - compiled out entirely with -DRIO_OBS=OFF (RIO_OBS_ENABLED=0):
- *    emit() collapses to nothing;
- *  - compiled in, recording off (the default): every event still
- *    lands in the small always-on flight-recorder ring (see
- *    flight.h), but the big per-core rings stay empty;
+ *  - recording off (the default): every event still lands in the
+ *    small always-on flight-recorder ring (see flight.h), but the big
+ *    per-core rings stay empty;
  *  - recording on (`--timeline out.json` on any bench, or
  *    setRecording(true)): events are kept per core and exported.
  *
@@ -29,14 +27,7 @@
 
 #include "base/types.h"
 
-#ifndef RIO_OBS_ENABLED
-#define RIO_OBS_ENABLED 1
-#endif
-
 namespace rio::obs {
-
-/** Compile-time master switch (the RIO_OBS CMake option). */
-inline constexpr bool kObsCompiled = RIO_OBS_ENABLED != 0;
 
 /** What happened. Keep in sync with evName()/evPhase(). */
 enum class Ev : u8 {
@@ -128,8 +119,7 @@ class Timeline
     bool
     recording() const
     {
-        return kObsCompiled &&
-               recording_.load(std::memory_order_relaxed);
+        return recording_.load(std::memory_order_relaxed);
     }
     void
     setRecording(bool on)

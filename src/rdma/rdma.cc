@@ -88,7 +88,7 @@ RdmaNic::sendAt(u32 dst_nic, Nanos when, WireMsg msg)
     RIO_ASSERT(send_, "RdmaNic wire not connected");
     msg.src_nic = nic_id_;
     msg.dst_nic = dst_nic;
-    if (obs::kObsCompiled && msg.trace) {
+    if (msg.trace) {
         // Wire-transit child span of the op: [send, arrival] on the
         // sender's track (propagation + serialization; hostile-wire
         // extra delay shows up as ingress queueing at the far end).
@@ -109,6 +109,20 @@ RdmaNic::sendAt(u32 dst_nic, Nanos when, WireMsg msg)
         obs::timeline().emit(ev);
     }
     send_(dst_nic, when, std::move(msg));
+}
+
+void
+RdmaNic::emitOpPost(u64 trace, u32 bytes, u32 qp, u32 w)
+{
+    obs::Event ev;
+    ev.kind = obs::Ev::kOpPost;
+    ev.t = core_.virtualNow();
+    ev.trace = trace;
+    ev.arg = bytes;
+    ev.arg2 = (static_cast<u64>(qp) << 32) | w;
+    ev.pid = core_.obsPid();
+    ev.tid = core_.obsTid();
+    obs::timeline().emit(ev);
 }
 
 void
@@ -363,17 +377,7 @@ RdmaNic::postWrite(u32 qp, u32 bytes, u64 roffset)
             delta[c] -= cat0[c];
         slo_post_cats_[(static_cast<u64>(qp) << 32) | w] = delta;
     }
-    if (obs::kObsCompiled) {
-        obs::Event ev;
-        ev.kind = obs::Ev::kOpPost;
-        ev.t = core_.virtualNow();
-        ev.trace = trace;
-        ev.arg = bytes;
-        ev.arg2 = (static_cast<u64>(qp) << 32) | w;
-        ev.pid = core_.obsPid();
-        ev.tid = core_.obsTid();
-        obs::timeline().emit(ev);
-    }
+    emitOpPost(trace, bytes, qp, w);
     sim_.scheduleAt(core_.virtualNow() + profile_.doorbell_ns,
                     [this, qp, w] { deviceFetchWqe(qp, w); });
     return true;
@@ -432,17 +436,7 @@ RdmaNic::postRead(u32 qp, u32 bytes, u64 roffset)
             delta[c] -= cat0[c];
         slo_post_cats_[(static_cast<u64>(qp) << 32) | w] = delta;
     }
-    if (obs::kObsCompiled) {
-        obs::Event ev;
-        ev.kind = obs::Ev::kOpPost;
-        ev.t = core_.virtualNow();
-        ev.trace = trace;
-        ev.arg = bytes;
-        ev.arg2 = (static_cast<u64>(qp) << 32) | w;
-        ev.pid = core_.obsPid();
-        ev.tid = core_.obsTid();
-        obs::timeline().emit(ev);
-    }
+    emitOpPost(trace, bytes, qp, w);
     sim_.scheduleAt(core_.virtualNow() + profile_.doorbell_ns,
                     [this, qp, w] { deviceFetchWqe(qp, w); });
     return true;
@@ -526,17 +520,7 @@ RdmaNic::postMig(u32 qp, PhysAddr src_pa, u32 bytes, u64 tag,
             delta[c] -= cat0[c];
         slo_post_cats_[(static_cast<u64>(qp) << 32) | w] = delta;
     }
-    if (obs::kObsCompiled) {
-        obs::Event ev;
-        ev.kind = obs::Ev::kOpPost;
-        ev.t = core_.virtualNow();
-        ev.trace = trace;
-        ev.arg = bytes;
-        ev.arg2 = (static_cast<u64>(qp) << 32) | w;
-        ev.pid = core_.obsPid();
-        ev.tid = core_.obsTid();
-        obs::timeline().emit(ev);
-    }
+    emitOpPost(trace, bytes, qp, w);
     sim_.scheduleAt(core_.virtualNow() + profile_.doorbell_ns,
                     [this, qp, w] { deviceFetchWqe(qp, w); });
     return true;
@@ -662,7 +646,7 @@ RdmaNic::onDataAccess(const WireMsg &msg)
     // translated (or faulted) on THIS machine's track, stitched into
     // the initiator's op by the carried trace id.
     const auto walkEvent = [&](bool ok) {
-        if (!obs::kObsCompiled || !msg.trace)
+        if (!msg.trace)
             return;
         obs::Event ev;
         ev.kind = obs::Ev::kTargetWalk;
@@ -872,7 +856,7 @@ RdmaNic::pollCq()
             }
             slo_recorder_.record(rec);
         }
-        if (obs::kObsCompiled && trace) {
+        if (trace) {
             obs::Event ev;
             ev.kind = obs::Ev::kOpCqe;
             ev.t = core_.virtualNow();
@@ -998,7 +982,7 @@ RdmaNic::retransmit(u32 qp)
         Op &op = q.ops[w];
         ++op.rtx;
         ++stats_.retransmits;
-        if (obs::kObsCompiled && op.trace) {
+        if (op.trace) {
             // Retransmit episode: a child instant of the ORIGINAL
             // trace — the replay must not mint a new identity.
             obs::Event ev;

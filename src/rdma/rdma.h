@@ -428,6 +428,8 @@ class RdmaNic
     void pollCq();
     void finishClose(u32 qp);
     void sendAt(u32 dst_nic, Nanos when, WireMsg msg);
+    /** Timeline event for a posted WQE. */
+    void emitOpPost(u64 trace, u32 bytes, u32 qp, u32 w);
     Nanos wireArrival(Nanos from, u32 payload_bytes) const;
 
     // Reliability layer (device-side; no-ops while rel_ is off).

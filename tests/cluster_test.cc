@@ -483,8 +483,6 @@ runTracedStorm(unsigned threads)
  */
 TEST(Tracing, SpanIdentityUnderHostileWire)
 {
-    if (!obs::kObsCompiled)
-        GTEST_SKIP() << "observability compiled out (RIO_OBS=OFF)";
     obs::timeline().clear();
     obs::timeline().setCapacity(1u << 20); // retain every event
     obs::timeline().setRecording(true);
@@ -578,8 +576,6 @@ timelineFingerprint(unsigned threads)
  * lane-confined counters, never a shared atomic. */
 TEST(Tracing, TimelineByteIdenticalAcrossThreadCounts)
 {
-    if (!obs::kObsCompiled)
-        GTEST_SKIP() << "observability compiled out (RIO_OBS=OFF)";
     const std::string one = timelineFingerprint(1);
     const std::string four = timelineFingerprint(4);
     ASSERT_FALSE(one.empty());

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Observability zero-cost regression: with the obs layer compiled in
+# Observability zero-cost regression: with the obs layer live
 # (metrics registry + flight recorder live on every hot path),
 # bench_fig7 must still reproduce the checked-in golden JSON byte for
 # byte. Instrumentation charges no simulated cycles and draws no RNG,

@@ -11,9 +11,9 @@
 #include <sstream>
 #include <thread>
 
-#include "cycles/batch.h"
+#include "cycles/cycle_account.h"
+#include "dma/dma_context.h"
 #include "dma/fault.h"
-#include "obs/deferred.h"
 #include "obs/flight.h"
 #include "obs/registry.h"
 #include "obs/slo.h"
@@ -35,22 +35,11 @@ class ObsTest : public ::testing::Test
         timeline().setRecording(false);
         flightRecorder().clear();
         clearFlightDumpArchive();
-        setDeferredEnabled(false);
         setSloRecording(false);
     }
 
     void TearDown() override { SetUp(); }
 };
-
-// Timeline/flight paths collapse under -DRIO_OBS=OFF; only the
-// registry (the always-available tier) is testable there. Must be
-// expanded in the test body itself: GTEST_SKIP() in a helper would
-// only return from the helper.
-#define RIO_REQUIRE_OBS_COMPILED()                                     \
-    do {                                                               \
-        if (!kObsCompiled)                                             \
-            GTEST_SKIP() << "observability compiled out (RIO_OBS=OFF)"; \
-    } while (0)
 
 // ---- registry ---------------------------------------------------------------
 
@@ -128,131 +117,54 @@ TEST_F(ObsTest, ResetValuesKeepsRegistrationsAndPointers)
     EXPECT_EQ(&registry().counter("x.ops"), &c);
 }
 
-// ---- deferred batching (the parallel-engine hot-path tier) ------------------
-
-TEST_F(ObsTest, DeferredCounterPassesThroughWhenDisabled)
+TEST_F(ObsTest, RegistryMirrorsMatchComponentCountsWithoutSnapshot)
 {
-    Counter &c = registry().counter("batch.test");
-    DeferredCounter d(c);
-    d.bump(2);
-    d.bump();
-    EXPECT_EQ(c.get(), 3u) << "deferral off: every bump lands at once";
-    EXPECT_EQ(d.pending(), 0u);
-}
+    // Hot-path mirrors must be exact the moment an op returns: read
+    // them with Counter::get() / Histogram::count() directly, with no
+    // snapshot() in between that could settle anything.
+    dma::DmaContext ctx;
+    cycles::CycleAccount acct;
+    auto handle = ctx.makeHandle(dma::ProtectionMode::kStrict,
+                                 iommu::Bdf{0, 3, 0}, &acct);
+    // A ring twice the IOTLB's 64 entries: each round maps every slot,
+    // the device touches each buffer twice (miss then hit, with
+    // evictions as the ring overflows the IOTLB), then the driver
+    // unmaps the whole completion burst.
+    constexpr int kRing = 128, kRounds = 3;
+    std::vector<PhysAddr> bufs;
+    for (int i = 0; i < kRing; ++i)
+        bufs.push_back(ctx.memory().allocFrame());
+    u64 unmaps = 0;
+    const char payload[64] = {};
+    for (int round = 0; round < kRounds; ++round) {
+        std::vector<dma::DmaMapping> maps;
+        for (PhysAddr pa : bufs) {
+            auto m = handle->map(0, pa, 1500, iommu::DmaDir::kBidir);
+            ASSERT_TRUE(m.isOk());
+            maps.push_back(m.value());
+        }
+        for (const dma::DmaMapping &m : maps)
+            for (int touch = 0; touch < 2; ++touch)
+                ASSERT_TRUE(handle->deviceWrite(m.device_addr, payload,
+                                                sizeof(payload)));
+        for (size_t i = 0; i < maps.size(); ++i) {
+            ASSERT_TRUE(handle->unmap(maps[i], i + 1 == maps.size()));
+            ++unmaps;
+        }
+    }
 
-TEST_F(ObsTest, DeferredCounterBatchesUntilFlush)
-{
-    Counter &c = registry().counter("batch.test");
-    DeferredCounter d(c);
-    setDeferredEnabled(true);
-    for (int i = 0; i < 10; ++i)
-        d.bump();
-    EXPECT_EQ(c.get(), 0u) << "updates held locally";
-    EXPECT_EQ(d.pending(), 10u);
-    d.flush();
-    EXPECT_EQ(c.get(), 10u);
-    EXPECT_EQ(d.pending(), 0u);
-}
-
-TEST_F(ObsTest, DeferredCounterAutoFlushesAtThreshold)
-{
-    Counter &c = registry().counter("batch.test");
-    DeferredCounter d(c);
-    setDeferredEnabled(true);
-    for (u64 i = 0; i < DeferredCounter::kFlushEvery; ++i)
-        d.bump();
-    EXPECT_EQ(c.get(), DeferredCounter::kFlushEvery);
-    EXPECT_EQ(d.pending(), 0u);
-}
-
-TEST_F(ObsTest, SnapshotSettlesDeferredState)
-{
-    Counter &c = registry().counter("batch.test");
-    DeferredCounter d(c);
-    setDeferredEnabled(true);
-    d.bump(7);
-    // A snapshot must always be exact, even mid-burst: it flushes
-    // every live accumulator first.
-    const auto snap = registry().snapshot();
-    ASSERT_EQ(snap.size(), 1u);
-    EXPECT_EQ(snap[0].values, (std::vector<u64>{7}));
-}
-
-TEST_F(ObsTest, ResetValuesSettlesDeferredStateFirst)
-{
-    Counter &c = registry().counter("batch.test");
-    DeferredCounter d(c);
-    setDeferredEnabled(true);
-    d.bump(7);
-    // Reset must flush pending deltas first so they are zeroed with
-    // everything else — deferral may move *when* a metric lands,
-    // never by how much, including across a reset boundary. Without
-    // the flush, the 7 would land on top of the zeroed counter later.
-    registry().resetValues();
-    EXPECT_EQ(d.pending(), 0u);
-    d.bump(3);
-    const auto snap = registry().snapshot();
-    ASSERT_EQ(snap.size(), 1u);
-    EXPECT_EQ(snap[0].values, (std::vector<u64>{3}))
-        << "post-reset total counts post-reset activity only";
-}
-
-TEST_F(ObsTest, DisablingDeferralSettlesPendingState)
-{
-    Counter &c = registry().counter("batch.test");
-    DeferredCounter d(c);
-    Histogram &h = registry().histogram("batch.hist", {}, {10, 100});
-    DeferredHistogram dh;
-    dh.bind(&h);
-    setDeferredEnabled(true);
-    d.bump(5);
-    dh.note(50);
-    EXPECT_EQ(c.get(), 0u);
-    EXPECT_EQ(h.count(), 0u);
-    // Switching deferral off settles every live accumulator: nothing
-    // strands until the next snapshot, and later direct updates land
-    // after (not before) the amounts batched earlier.
-    setDeferredEnabled(false);
-    EXPECT_EQ(c.get(), 5u);
-    EXPECT_EQ(d.pending(), 0u);
-    EXPECT_EQ(h.count(), 1u);
-    EXPECT_EQ(dh.pendingCount(), 0u);
-}
-
-TEST_F(ObsTest, DeferredHistogramDeliversBurstAtOnce)
-{
-    Histogram &h = registry().histogram("batch.hist", {}, {10, 100});
-    DeferredHistogram d;
-    d.bind(&h);
-    setDeferredEnabled(true);
-    d.note(5);
-    d.note(50);
-    d.note(500);
-    EXPECT_EQ(h.count(), 0u) << "burst still buffered";
-    d.endBurst();
-    EXPECT_EQ(h.count(), 3u);
-    EXPECT_EQ(h.sum(), 555u);
-    EXPECT_EQ(h.buckets(), (std::vector<u64>{1, 1, 1}));
-}
-
-TEST_F(ObsTest, BatchChargeMatchesPerOpTotals)
-{
-    cycles::CycleAccount per_op, batched;
-    for (Cycles c : {10u, 20u, 30u})
-        per_op.charge(cycles::Cat::kUnmapIotlbInv, c);
-    {
-        cycles::setBatchingEnabled(true);
-        cycles::BatchCharge b(batched, cycles::Cat::kUnmapIotlbInv);
-        for (Cycles c : {10u, 20u, 30u})
-            b.add(c);
-        EXPECT_EQ(batched.ops(cycles::Cat::kUnmapIotlbInv), 0u)
-            << "charges held until the burst ends";
-    } // RAII flush
-    cycles::setBatchingEnabled(false);
-    EXPECT_EQ(batched.get(cycles::Cat::kUnmapIotlbInv),
-              per_op.get(cycles::Cat::kUnmapIotlbInv));
-    EXPECT_EQ(batched.ops(cycles::Cat::kUnmapIotlbInv),
-              per_op.ops(cycles::Cat::kUnmapIotlbInv));
+    const iommu::IotlbStats &st = ctx.iommu().iotlb().stats();
+    EXPECT_GT(st.hits, 0u);
+    EXPECT_GT(st.misses, 0u);
+    EXPECT_GT(st.evictions, 0u);
+    EXPECT_EQ(registry().counter("iotlb.hits").get(), st.hits);
+    EXPECT_EQ(registry().counter("iotlb.misses").get(), st.misses);
+    EXPECT_EQ(registry().counter("iotlb.evictions").get(), st.evictions);
+    const Labels strict = {{"mode", "strict"}};
+    EXPECT_EQ(registry().histogram("dma.unmap_cycles", strict).count(),
+              unmaps);
+    EXPECT_EQ(registry().histogram("dma.map_cycles", strict).count(),
+              unmaps);
 }
 
 TEST_F(ObsTest, ConcurrentUpdatesFromManyThreadsLoseNothing)
@@ -303,7 +215,6 @@ TEST_F(ObsTest, EventRingKeepsNewestAndCountsDrops)
 
 TEST_F(ObsTest, TracksRecordOnlyWhileRecording)
 {
-    RIO_REQUIRE_OBS_COMPILED();
     Event e;
     e.pid = timeline().allocPid();
     timeline().emit(e);
@@ -318,7 +229,6 @@ TEST_F(ObsTest, TracksRecordOnlyWhileRecording)
 
 TEST_F(ObsTest, ChromeTraceExportPairsAsyncSpans)
 {
-    RIO_REQUIRE_OBS_COMPILED();
     timeline().setRecording(true);
     const u16 pid = timeline().allocPid();
 
@@ -363,7 +273,6 @@ TEST_F(ObsTest, ChromeTraceExportPairsAsyncSpans)
 
 TEST_F(ObsTest, FaultRecoveryFiresFlightDumpWithRingContents)
 {
-    RIO_REQUIRE_OBS_COMPILED();
     // Preload the ring with the events "before the failure".
     Event e;
     e.kind = Ev::kMap;
@@ -393,7 +302,6 @@ TEST_F(ObsTest, FaultRecoveryFiresFlightDumpWithRingContents)
 
 TEST_F(ObsTest, DumpLimitRetainsFirstFewButCountsAll)
 {
-    RIO_REQUIRE_OBS_COMPILED();
     flightRecorder().setDumpLimit(2);
     for (int i = 0; i < 5; ++i)
         flightDump("storm");
@@ -408,7 +316,6 @@ TEST_F(ObsTest, DumpLimitRetainsFirstFewButCountsAll)
 
 TEST_F(ObsTest, WorkerThreadDumpsReachProcessWideArchive)
 {
-    RIO_REQUIRE_OBS_COMPILED();
     flightDump("main_side");
     // A dump fired from a pool thread (mid-window assertion under
     // ParallelEngine) lives in that thread's recorder, which dies
@@ -477,7 +384,6 @@ TEST_F(ObsTest, QuantileBoundOverflowCollapsesToLastFiniteBound)
 
 TEST_F(ObsTest, TraceScopeAttachesAmbientTraceToEmittedEvents)
 {
-    RIO_REQUIRE_OBS_COMPILED();
     EXPECT_EQ(currentTrace(), 0u);
     {
         TraceScope outer(0x1234);
@@ -562,7 +468,6 @@ TEST_F(ObsTest, SloRecordingGateIsProcessWide)
 
 TEST_F(ObsTest, ChromeTraceExportStitchesOpSpansById)
 {
-    RIO_REQUIRE_OBS_COMPILED();
     timeline().setRecording(true);
     const u16 pid = timeline().allocPid();
     const u64 trace = 0xabcd01;
