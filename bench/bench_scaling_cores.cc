@@ -15,15 +15,61 @@
  */
 #include "bench_common.h"
 
+#include <charconv>
+#include <optional>
+
 #include "cycles/cycle_account.h"
-#include "workloads/scaling.h"
+#include "workloads/stream.h"
 
 using namespace rio;
+
+namespace {
+
+/** Parse a `--cores` value: comma-separated positive core counts. */
+std::optional<std::vector<unsigned>>
+parseCoreCounts(std::string_view list)
+{
+    std::vector<unsigned> counts;
+    for (;;) {
+        const size_t comma = list.find(',');
+        const std::string_view item = list.substr(0, comma);
+        unsigned v = 0;
+        const char *end = item.data() + item.size();
+        const auto [ptr, ec] = std::from_chars(item.data(), end, v);
+        if (ec != std::errc() || ptr != end || v == 0)
+            return std::nullopt;
+        counts.push_back(v);
+        if (comma == std::string_view::npos)
+            return counts;
+        list.remove_prefix(comma + 1);
+    }
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
 {
     const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+
+    // `--cores 1,2,4` overrides the default sweep (the golden-output
+    // regression test pins {1,2} for a fast deterministic run).
+    std::vector<unsigned> core_counts = {1, 2, 4, 8};
+    for (int i = 1; i < argc; ++i) {
+        if (std::string_view(argv[i]) != "--cores")
+            continue;
+        const auto counts = i + 1 < argc ? parseCoreCounts(argv[i + 1])
+                                         : std::nullopt;
+        if (!counts) {
+            std::fprintf(stderr,
+                         "usage: %s [--cores N[,N...]]: each N is a "
+                         "positive core count\n",
+                         argv[0]);
+            return 2;
+        }
+        core_counts = *counts;
+    }
+
     bench::printHeader(
         "Scaling: cycles/packet vs core count, Netperf stream x K "
         "flows on one DmaContext (mlx)");
@@ -32,25 +78,6 @@ main(int argc, char **argv)
         workloads::streamParamsFor(nic::mlxProfile());
     params.measure_packets = bench::scaled(20000);
     params.warmup_packets = bench::scaled(5000);
-
-    // `--cores 1,2,4` overrides the default sweep (the golden-output
-    // regression test pins {1,2} for a fast deterministic run).
-    std::vector<unsigned> core_counts = {1, 2, 4, 8};
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::string_view(argv[i]) != "--cores")
-            continue;
-        core_counts.clear();
-        unsigned v = 0;
-        for (const char *p = argv[i + 1]; *p; ++p) {
-            if (*p == ',') {
-                core_counts.push_back(v);
-                v = 0;
-            } else if (*p >= '0' && *p <= '9') {
-                v = v * 10 + static_cast<unsigned>(*p - '0');
-            }
-        }
-        core_counts.push_back(v);
-    }
 
     struct Row
     {

@@ -65,19 +65,30 @@ RrParams rrParamsFor(const nic::NicProfile &profile);
  * coupled every few microseconds of virtual time, far tighter than
  * any useful lookahead, so a sweep parallelizes across RR pairs, not
  * within one.
+ *
+ * Each machine has @p ncores cores and NICs sharing its own
+ * DmaContext; flow i connects initiator NIC i to echoer NIC i and
+ * has its own echo and retransmit timer. One flow is the paper's
+ * single-core setup.
  */
 class RrRun
 {
   public:
     RrRun(des::Simulator &sim, dma::ProtectionMode mode,
           const nic::NicProfile &profile, const RrParams &params,
-          const cycles::CostModel &cost = cycles::defaultCostModel());
+          const cycles::CostModel &cost = cycles::defaultCostModel(),
+          unsigned ncores = 1);
     ~RrRun();
     RrRun(const RrRun &) = delete;
     RrRun &operator=(const RrRun &) = delete;
 
-    /** Initiator metrics; asserts the run hit its transaction target. */
+    /** Initiator metrics of a one-flow run; asserts it hit its
+     * transaction target. */
     RunResult collect();
+
+    /** Per-flow and aggregate initiator metrics; asserts every flow
+     * hit its transaction target. */
+    ScalingResult collectAll();
 
   private:
     struct Impl;
@@ -94,6 +105,13 @@ RunResult runNetperfRr(dma::ProtectionMode mode,
                        const RrParams &params,
                        const cycles::CostModel &cost =
                            cycles::defaultCostModel());
+
+/** Run the ping-pong on each of @p ncores core pairs. */
+ScalingResult runRrScaling(dma::ProtectionMode mode,
+                           const nic::NicProfile &profile,
+                           unsigned ncores, const RrParams &params,
+                           const cycles::CostModel &cost =
+                               cycles::defaultCostModel());
 
 } // namespace rio::workloads
 

@@ -87,6 +87,13 @@ StreamParams streamParamsFor(const nic::NicProfile &profile);
  * validates the run reached its packet target and computes the
  * window metrics.
  *
+ * The run drives @p ncores independent flows on one machine: flow i
+ * has its own core, NIC, pump and remote sink, and all flows share
+ * the machine's DmaContext. The flows interact only through the
+ * context-global IOVA and invalidation-queue locks (§3.2), and not
+ * at all in the rIOMMU and none modes. One flow is the paper's
+ * single-core setup.
+ *
  * The run owns copies of the profile, params, and cost model: the
  * machine keeps a reference to the cost model for its whole life,
  * and a sweep constructs runs long before the engine fires them.
@@ -96,13 +103,19 @@ class StreamRun
   public:
     StreamRun(des::Simulator &sim, dma::ProtectionMode mode,
               const nic::NicProfile &profile, const StreamParams &params,
-              const cycles::CostModel &cost = cycles::defaultCostModel());
+              const cycles::CostModel &cost = cycles::defaultCostModel(),
+              unsigned ncores = 1);
     ~StreamRun();
     StreamRun(const StreamRun &) = delete;
     StreamRun &operator=(const StreamRun &) = delete;
 
-    /** Window metrics; asserts the run reached its packet target. */
+    /** Window metrics of a one-flow run; asserts it reached its
+     * packet target. */
     RunResult collect();
+
+    /** Per-flow and aggregate metrics; asserts every flow reached
+     * its packet target. */
+    ScalingResult collectAll();
 
   private:
     struct Impl;
@@ -115,6 +128,14 @@ RunResult runStream(dma::ProtectionMode mode,
                     const StreamParams &params,
                     const cycles::CostModel &cost =
                         cycles::defaultCostModel());
+
+/** Run Netperf stream on each of @p ncores cores of one machine. */
+ScalingResult runStreamScaling(dma::ProtectionMode mode,
+                               const nic::NicProfile &profile,
+                               unsigned ncores,
+                               const StreamParams &params,
+                               const cycles::CostModel &cost =
+                                   cycles::defaultCostModel());
 
 } // namespace rio::workloads
 

@@ -24,7 +24,7 @@
 #include "iova/magazine_allocator.h"
 #include "nic/profile.h"
 #include "sys/machine.h"
-#include "workloads/scaling.h"
+#include "workloads/stream.h"
 
 namespace rio {
 namespace {

@@ -18,7 +18,8 @@
 #include "des/simulator.h"
 #include "des/spinlock.h"
 #include "nic/profile.h"
-#include "workloads/scaling.h"
+#include "workloads/netperf_rr.h"
+#include "workloads/stream.h"
 
 namespace rio::des {
 namespace {
@@ -302,6 +303,46 @@ TEST(SpinlockDeterminismTest, RrScalingContendsAndIsDeterministic)
         dma::ProtectionMode::kRiommu, nic::mlxProfile(), 2, p);
     EXPECT_EQ(rio.lock_wait_per_packet, 0.0);
     EXPECT_EQ(rio.iova_lock.acquisitions, 0u);
+
+    // Fault injection arms every flow's own retransmit timer. Under
+    // the default retry-remap policy each fault is recovered in place;
+    // under drop-backoff the faulted request or echo is lost and only
+    // that flow's timer restarts its ping-pong. Either way both flows
+    // reach their target (collectAll() asserts it) and reruns agree
+    // bit for bit.
+    for (dma::FaultPolicy policy :
+         {dma::FaultPolicy::kRetryRemap, dma::FaultPolicy::kDropBackoff}) {
+        workloads::RrParams lossy = p;
+        lossy.fault_rate = 0.01;
+        lossy.fault_policy = policy;
+        const auto f1 = workloads::runRrScaling(
+            dma::ProtectionMode::kStrict, nic::mlxProfile(), 2, lossy);
+        const auto f2 = workloads::runRrScaling(
+            dma::ProtectionMode::kStrict, nic::mlxProfile(), 2, lossy);
+        const char *name = dma::faultPolicyName(policy);
+        ASSERT_EQ(f1.per_flow.size(), 2u) << name;
+        EXPECT_EQ(f1.tx_packets, 2 * lossy.measure_transactions) << name;
+        EXPECT_GT(f1.fault.injected, 0u) << name;
+        EXPECT_EQ(f1.fault.injected, f2.fault.injected) << name;
+        EXPECT_EQ(f1.fault.dropped, f2.fault.dropped) << name;
+        EXPECT_EQ(f1.cycles_per_packet, f2.cycles_per_packet) << name;
+        EXPECT_EQ(f1.iova_lock.acquisitions, f2.iova_lock.acquisitions)
+            << name;
+        for (size_t i = 0; i < f1.per_flow.size(); ++i) {
+            EXPECT_EQ(f1.per_flow[i].acct.total(),
+                      f2.per_flow[i].acct.total())
+                << name;
+            EXPECT_EQ(f1.per_flow[i].duration_s,
+                      f2.per_flow[i].duration_s)
+                << name;
+        }
+        if (policy == dma::FaultPolicy::kRetryRemap) {
+            EXPECT_EQ(f1.fault.injected, 45u);
+            EXPECT_EQ(f1.fault.dropped, 0u);
+        } else {
+            EXPECT_GT(f1.fault.dropped, 0u);
+        }
+    }
 }
 
 TEST(SpinlockDeterminismTest, SingleCoreNeverWaits)

@@ -636,6 +636,25 @@ TEST(VirtStream, DeterministicReplayInsideAGuest)
         EXPECT_EQ(a.cycles_per_packet, b.cycles_per_packet)
             << virt::platformName(platform);
     }
+
+    // Two flows on one nested guest: the guest binds both NICs, so
+    // each flow's window carries the platform's exits.
+    p.platform = Platform::kNested;
+    const auto two = [&] {
+        return workloads::runStreamScaling(ProtectionMode::kStrict,
+                                           nic::mlxProfile(), 2, p);
+    };
+    const auto c = two();
+    const auto d = two();
+    ASSERT_EQ(c.per_flow.size(), 2u);
+    for (size_t i = 0; i < c.per_flow.size(); ++i) {
+        EXPECT_EQ(c.per_flow[i].tx_packets, p.measure_packets);
+        EXPECT_GT(c.per_flow[i].vm_exits, 0u);
+        EXPECT_EQ(c.per_flow[i].vm_exits, d.per_flow[i].vm_exits);
+        EXPECT_EQ(c.per_flow[i].acct.total(), d.per_flow[i].acct.total());
+    }
+    EXPECT_EQ(c.cycles_per_packet, d.cycles_per_packet);
+    EXPECT_EQ(c.iova_lock.wait_cycles, d.iova_lock.wait_cycles);
 }
 
 TEST(VirtStream, ComposesWithFaultInjectionAndLifecycleChurn)
