@@ -2,13 +2,15 @@
  * @file
  * google-benchmark microbenchmarks of the hot driver paths: the
  * map/unmap implementations of each protection mode, the IOVA
- * allocators and the translation routines. These measure *real*
+ * allocators, the translation routines, simulated-memory word
+ * access and one device DMA. These measure *real*
  * wall-clock time of the reproduction's data-structure code (the
  * simulated-cycle accounting is exercised by the other benches).
  */
 #include <benchmark/benchmark.h>
 
 #include <deque>
+#include <vector>
 
 #include "dma/dma_context.h"
 #include "iova/linux_allocator.h"
@@ -135,6 +137,66 @@ BM_RiommuTranslateSequential(benchmark::State &state)
     benchmark::DoNotOptimize(sink);
 }
 BENCHMARK(BM_RiommuTranslateSequential);
+
+// Simulated-memory word access, the floor under every table walk,
+// queue descriptor and rPTE: 4,632 touched frames is perfbench
+// stream7's live-mapping working set.
+constexpr u32 kTouchedFrames = 4632;
+
+std::vector<PhysAddr>
+touchedWords(mem::PhysicalMemory &pm)
+{
+    std::vector<PhysAddr> addrs;
+    for (u32 i = 0; i < kTouchedFrames; ++i)
+        addrs.push_back(pm.allocFrame() + (i * 8) % kPageSize);
+    return addrs;
+}
+
+void
+BM_PhysMemRead64(benchmark::State &state)
+{
+    mem::PhysicalMemory pm;
+    const std::vector<PhysAddr> addrs = touchedWords(pm);
+    u64 i = 0;
+    u64 sink = 0;
+    for (auto _ : state)
+        sink += pm.read64(addrs[i++ % kTouchedFrames]);
+    benchmark::DoNotOptimize(sink);
+}
+BENCHMARK(BM_PhysMemRead64);
+
+void
+BM_PhysMemWrite64(benchmark::State &state)
+{
+    mem::PhysicalMemory pm;
+    const std::vector<PhysAddr> addrs = touchedWords(pm);
+    u64 i = 0;
+    for (auto _ : state) {
+        pm.write64(addrs[i % kTouchedFrames], i);
+        ++i;
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_PhysMemWrite64);
+
+/** One 1,500-byte device read through a strict-mode IOTLB hit. */
+void
+BM_BaselineDeviceRead(benchmark::State &state)
+{
+    dma::DmaContext ctx;
+    cycles::CycleAccount acct;
+    auto handle = ctx.makeHandle(dma::ProtectionMode::kStrict,
+                                 iommu::Bdf{0, 3, 0}, &acct);
+    const PhysAddr pa = ctx.memory().allocFrame();
+    auto m = handle->map(0, pa, 1500, iommu::DmaDir::kBidir).value();
+    std::vector<u8> buf(1500);
+    (void)handle->deviceRead(m.device_addr, buf.data(), buf.size());
+    for (auto _ : state) {
+        Status s = handle->deviceRead(m.device_addr, buf.data(), buf.size());
+        benchmark::DoNotOptimize(s);
+    }
+}
+BENCHMARK(BM_BaselineDeviceRead);
 
 } // namespace
 

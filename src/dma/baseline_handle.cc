@@ -455,12 +455,9 @@ BaselineDmaHandle::acknowledgeFaults()
 }
 
 Status
-BaselineDmaHandle::deviceAccess(u64 device_addr,
-                                const std::function<Status()> &access)
+BaselineDmaHandle::armedAccess(u64 device_addr,
+                               const std::function<Status()> &access)
 {
-    if (!fault_.armed())
-        return access();
-
     // One draw per top-level access, mirrored by the test oracle.
     if (fault_.shouldInject()) {
         // Damage the live translation the way an errant driver would:

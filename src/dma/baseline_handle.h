@@ -122,13 +122,13 @@ class BaselineDmaHandle : public DmaHandle
     }
 
     /**
-     * Device access with the fault engine in the loop: optionally
+     * Armed path of deviceAccess (see DmaHandle): optionally
      * injects a translation fault (zeroed leaf PTE + IOTLB shootdown,
      * undone during recovery), and routes any faulted access through
      * the recovery policy.
      */
-    Status deviceAccess(u64 device_addr,
-                        const std::function<Status()> &access);
+    Status armedAccess(u64 device_addr,
+                       const std::function<Status()> &access) override;
 
     /** Driver fault-interrupt work: drain the hardware fault log. */
     void acknowledgeFaults();

@@ -30,6 +30,20 @@ emitDmaSpan(obs::Ev kind, des::Core *core, Nanos t0, Cycles cycles,
 
 } // namespace
 
+Status
+DmaHandle::armedAccess(u64 /*device_addr*/,
+                       const std::function<Status()> &access)
+{
+    if (fault_.shouldInject()) {
+        const Status fail(ErrorCode::kIoPageFault, "injected bus abort");
+        return fault_.recover(fail, [] {}, access);
+    }
+    Status s = access();
+    if (!s.isOk())
+        return fault_.recover(s, [] {}, access);
+    return s;
+}
+
 void
 DmaHandle::bindObs(const char *mode, cycles::CycleAccount *acct,
                    des::Core *core)

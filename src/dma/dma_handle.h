@@ -14,6 +14,7 @@
 #ifndef RIO_DMA_DMA_HANDLE_H
 #define RIO_DMA_DMA_HANDLE_H
 
+#include <functional>
 #include <vector>
 
 #include "base/status.h"
@@ -270,6 +271,33 @@ class DmaHandle
 
     /** Hook for modes with a FaultLog to record the detached access. */
     virtual void onDetachedAccess(const iommu::FaultRecord &) {}
+
+    /**
+     * Run one top-level device access, a Status() callable, with the
+     * fault engine in the loop. Unarmed (every fault-free run), the
+     * access runs directly: no std::function, no allocation. Armed,
+     * armedAccess() gets a non-owning std::function over @p access.
+     */
+    template <typename Access>
+    Status
+    deviceAccess(u64 device_addr, Access &&access)
+    {
+        if (!fault_.armed())
+            return access();
+        return armedAccess(device_addr, std::ref(access));
+    }
+
+    /**
+     * The armed path of deviceAccess: one injection draw, then any
+     * failed access goes through FaultEngine::recover. The default
+     * suits modes with no (modeled) translation to damage: an
+     * injected fault is a synthesized bus abort (the access never
+     * ran) and recovery decides whether it is replayed. SWpt uses it
+     * too: its identity table self-heals (every device access
+     * re-installs missing PTEs), so persistent damage cannot bite.
+     */
+    virtual Status armedAccess(u64 device_addr,
+                               const std::function<Status()> &access);
 
     FaultEngine fault_;
     bool detached_ = false;

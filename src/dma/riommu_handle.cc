@@ -42,12 +42,9 @@ RiommuDmaHandle::unmapImpl(const DmaMapping &mapping, bool end_of_burst)
 }
 
 Status
-RiommuDmaHandle::deviceAccess(u64 device_addr,
-                              const std::function<Status()> &access)
+RiommuDmaHandle::armedAccess(u64 device_addr,
+                             const std::function<Status()> &access)
 {
-    if (!fault_.armed())
-        return access();
-
     const riommu::RIova iova{device_addr};
     const iommu::Bdf dev_bdf = rdevice_.bdf();
     const u16 rid = iova.rid();

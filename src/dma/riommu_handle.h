@@ -59,12 +59,12 @@ class RiommuDmaHandle : public DmaHandle
   private:
     void onDetachedAccess(const iommu::FaultRecord &rec) override;
     /**
-     * Device access with the fault engine in the loop: optionally
+     * Armed path of deviceAccess (see DmaHandle): optionally
      * clears the target rPTE's valid bit (undone during recovery) and
      * routes faulted accesses through the recovery policy.
      */
-    Status deviceAccess(u64 device_addr,
-                        const std::function<Status()> &access);
+    Status armedAccess(u64 device_addr,
+                       const std::function<Status()> &access) override;
 
     riommu::Riommu &riommu_;
     mem::PhysicalMemory &pm_;

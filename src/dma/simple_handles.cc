@@ -4,33 +4,6 @@
 
 namespace rio::dma {
 
-namespace {
-
-/**
- * Fault-injection wrapper for the modes with no (modeled) translation
- * to damage: an injected fault is a synthesized bus abort — the
- * access never ran — and recovery decides whether it is replayed.
- * SWpt also uses this path: its identity table self-heals (every
- * device access re-installs missing PTEs), so persistent damage
- * cannot bite there.
- */
-Status
-injectedAccess(FaultEngine &fault, const std::function<Status()> &access)
-{
-    if (!fault.armed())
-        return access();
-    if (fault.shouldInject()) {
-        const Status fail(ErrorCode::kIoPageFault, "injected bus abort");
-        return fault.recover(fail, [] {}, access);
-    }
-    Status s = access();
-    if (!s.isOk())
-        return fault.recover(s, [] {}, access);
-    return s;
-}
-
-} // namespace
-
 // ---- NoneDmaHandle ------------------------------------------------------
 
 Result<DmaMapping>
@@ -56,7 +29,7 @@ NoneDmaHandle::deviceRead(u64 device_addr, void *dst, u64 len)
 {
     if (Status g = guardDetached(device_addr, iommu::Access::kRead); !g)
         return g;
-    return injectedAccess(fault_, [&] {
+    return deviceAccess(device_addr, [&] {
         pm_.read(device_addr, dst, len);
         return Status::ok();
     });
@@ -67,7 +40,7 @@ NoneDmaHandle::deviceWrite(u64 device_addr, const void *src, u64 len)
 {
     if (Status g = guardDetached(device_addr, iommu::Access::kWrite); !g)
         return g;
-    return injectedAccess(fault_, [&] {
+    return deviceAccess(device_addr, [&] {
         pm_.write(device_addr, src, len);
         return Status::ok();
     });
@@ -103,7 +76,7 @@ HwPassthroughDmaHandle::deviceRead(u64 device_addr, void *dst, u64 len)
 {
     if (Status g = guardDetached(device_addr, iommu::Access::kRead); !g)
         return g;
-    return injectedAccess(fault_, [&] {
+    return deviceAccess(device_addr, [&] {
         pm_.read(device_addr, dst, len);
         return Status::ok();
     });
@@ -115,7 +88,7 @@ HwPassthroughDmaHandle::deviceWrite(u64 device_addr, const void *src,
 {
     if (Status g = guardDetached(device_addr, iommu::Access::kWrite); !g)
         return g;
-    return injectedAccess(fault_, [&] {
+    return deviceAccess(device_addr, [&] {
         pm_.write(device_addr, src, len);
         return Status::ok();
     });
@@ -223,7 +196,7 @@ SwPassthroughDmaHandle::deviceRead(u64 device_addr, void *dst, u64 len)
 {
     if (Status g = guardDetached(device_addr, iommu::Access::kRead); !g)
         return g;
-    return injectedAccess(fault_, [&] {
+    return deviceAccess(device_addr, [&] {
         ensureIdentity(device_addr, len);
         return iommu_.dmaRead(bdf_, device_addr, dst, len);
     });
@@ -235,7 +208,7 @@ SwPassthroughDmaHandle::deviceWrite(u64 device_addr, const void *src,
 {
     if (Status g = guardDetached(device_addr, iommu::Access::kWrite); !g)
         return g;
-    return injectedAccess(fault_, [&] {
+    return deviceAccess(device_addr, [&] {
         ensureIdentity(device_addr, len);
         return iommu_.dmaWrite(bdf_, device_addr, src, len);
     });

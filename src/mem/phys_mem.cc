@@ -10,26 +10,20 @@ PhysicalMemory::PhysicalMemory(u64 size_bytes)
     : capacity_(pageAlignDown(size_bytes))
 {
     RIO_ASSERT(capacity_ >= 2 * kPageSize, "memory too small");
+    const u64 frames = capacity_ >> kPageShift;
+    dir_.resize((frames + kChunkMask) >> kChunkShift);
 }
 
 PhysicalMemory::Frame &
-PhysicalMemory::frameFor(PhysAddr addr)
+PhysicalMemory::frameForSlow(u64 fn)
 {
-    const u64 fn = addr >> kPageShift;
-    auto &slot = frames_[fn];
-    if (!slot) {
-        slot = std::make_unique<Frame>();
-        slot->fill(0);
-    }
-    return *slot;
-}
-
-const PhysicalMemory::Frame *
-PhysicalMemory::frameForRead(PhysAddr addr) const
-{
-    const u64 fn = addr >> kPageShift;
-    auto it = frames_.find(fn);
-    return it == frames_.end() ? nullptr : it->second.get();
+    auto &chunk = dir_[fn >> kChunkShift];
+    if (!chunk)
+        chunk = std::make_unique<Chunk>();
+    auto &frame = (*chunk)[fn & kChunkMask];
+    if (!frame)
+        frame = std::make_unique<Frame>(); // value-initialized: zeroed
+    return *frame;
 }
 
 void
@@ -70,51 +64,11 @@ PhysicalMemory::write(PhysAddr addr, const void *src, u64 size)
     }
 }
 
-u64
-PhysicalMemory::read64(PhysAddr addr) const
-{
-    u64 v;
-    read(addr, &v, sizeof(v));
-    return v;
-}
-
-void
-PhysicalMemory::write64(PhysAddr addr, u64 value)
-{
-    write(addr, &value, sizeof(value));
-}
-
-u32
-PhysicalMemory::read32(PhysAddr addr) const
-{
-    u32 v;
-    read(addr, &v, sizeof(v));
-    return v;
-}
-
-void
-PhysicalMemory::write32(PhysAddr addr, u32 value)
-{
-    write(addr, &value, sizeof(value));
-}
-
-u8
-PhysicalMemory::read8(PhysAddr addr) const
-{
-    u8 v;
-    read(addr, &v, sizeof(v));
-    return v;
-}
-
-void
-PhysicalMemory::write8(PhysAddr addr, u8 value)
-{
-    write(addr, &value, sizeof(value));
-}
-
 void
 PhysicalMemory::fillZero(PhysAddr addr, u64 size)
 {
+    RIO_ASSERT(addr + size <= capacity_ && addr + size >= addr,
+               "phys fill out of range: addr=", addr, " size=", size);
     if (observer_ && size > 0)
         observer_(addr, size);
     while (size > 0) {
@@ -159,19 +113,6 @@ PhysicalMemory::allocContiguous(u64 size)
     const PhysAddr addr = fn << kPageShift;
     fillZero(addr, npages * kPageSize);
     return addr;
-}
-
-std::vector<u64>
-PhysicalMemory::touchedFramesIn(PhysAddr lo, PhysAddr hi) const
-{
-    std::vector<u64> out;
-    const u64 fn_lo = lo >> kPageShift;
-    const u64 fn_hi = (hi + kPageMask) >> kPageShift;
-    for (const auto &[fn, frame] : frames_)
-        if (fn >= fn_lo && fn < fn_hi && frame)
-            out.push_back(fn);
-    std::sort(out.begin(), out.end());
-    return out;
 }
 
 void

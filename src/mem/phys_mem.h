@@ -13,7 +13,6 @@
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "base/types.h"
@@ -24,6 +23,13 @@ namespace rio::mem {
  * 4 KB-frame sparse physical memory with a bump-plus-freelist frame
  * allocator. Frames are materialized on first touch; reads of
  * untouched memory return zeros, as DRAM-after-clear would.
+ *
+ * Frames are found through a two-level directory: a top level sized
+ * from the capacity (4,096 entries for 8 GB) of lazily allocated
+ * 512-frame chunks. A lookup is two indexed loads — no hashing — and
+ * the fixed-width accessors (read64/write64 and friends) are inline
+ * when the access stays inside one frame, since table walks, queue
+ * descriptors and rPTEs make them the bulk of all memory traffic.
  */
 class PhysicalMemory
 {
@@ -41,12 +47,12 @@ class PhysicalMemory
     void read(PhysAddr addr, void *dst, u64 size) const;
     void write(PhysAddr addr, const void *src, u64 size);
 
-    u64 read64(PhysAddr addr) const;
-    void write64(PhysAddr addr, u64 value);
-    u32 read32(PhysAddr addr) const;
-    void write32(PhysAddr addr, u32 value);
-    u8 read8(PhysAddr addr) const;
-    void write8(PhysAddr addr, u8 value);
+    u64 read64(PhysAddr addr) const { return readScalar<u64>(addr); }
+    void write64(PhysAddr addr, u64 value) { writeScalar(addr, value); }
+    u32 read32(PhysAddr addr) const { return readScalar<u32>(addr); }
+    void write32(PhysAddr addr, u32 value) { writeScalar(addr, value); }
+    u8 read8(PhysAddr addr) const { return readScalar<u8>(addr); }
+    void write8(PhysAddr addr, u8 value) { writeScalar(addr, value); }
 
     /** Read a trivially-copyable struct. */
     template <typename T>
@@ -73,21 +79,15 @@ class PhysicalMemory
 
     // ---- write observation ----------------------------------------------
     /**
-     * Invoked on every mutation of physical memory (all write paths
-     * funnel through write()/fillZero()). One observer at a time;
+     * Invoked on every mutation of physical memory with the exact
+     * (addr, size) written, by write(), fillZero() and the
+     * fixed-width write fast paths alike. One observer at a time;
      * null clears it. Used by the migration engine for dirty-page
      * tracking — the hook is host-side only and charges no simulated
      * cycles.
      */
     using WriteObserver = std::function<void(PhysAddr addr, u64 size)>;
     void setWriteObserver(WriteObserver cb) { observer_ = std::move(cb); }
-
-    /**
-     * Frame numbers (addr >> kPageShift) of every materialized frame
-     * intersecting [lo, hi), sorted ascending. Untouched frames are
-     * all-zero by construction and need not be enumerated.
-     */
-    std::vector<u64> touchedFramesIn(PhysAddr lo, PhysAddr hi) const;
 
     // ---- allocation -----------------------------------------------------
     /** Allocate one zeroed 4 KB frame; returns its physical address. */
@@ -109,15 +109,70 @@ class PhysicalMemory
 
   private:
     using Frame = std::array<u8, kPageSize>;
+    static constexpr u64 kChunkShift = 9; //!< 512 frames per chunk
+    static constexpr u64 kChunkMask = (u64{1} << kChunkShift) - 1;
+    using Chunk = std::array<std::unique_ptr<Frame>, u64{1} << kChunkShift>;
 
-    Frame &frameFor(PhysAddr addr);
-    const Frame *frameForRead(PhysAddr addr) const;
+    /** [addr, addr+size) lies inside one frame below capacity. */
+    bool
+    inOneFrame(PhysAddr addr, u64 size) const
+    {
+        return (addr & kPageMask) + size <= kPageSize && addr < capacity_;
+    }
+
+    /** The frame holding @p addr, or null if untouched. addr < capacity. */
+    const Frame *
+    frameForRead(PhysAddr addr) const
+    {
+        const u64 fn = addr >> kPageShift;
+        const Chunk *chunk = dir_[fn >> kChunkShift].get();
+        return chunk ? (*chunk)[fn & kChunkMask].get() : nullptr;
+    }
+
+    /** The frame holding @p addr, created zeroed on first touch. */
+    Frame &
+    frameFor(PhysAddr addr)
+    {
+        const u64 fn = addr >> kPageShift;
+        if (Chunk *chunk = dir_[fn >> kChunkShift].get())
+            if (Frame *frame = (*chunk)[fn & kChunkMask].get())
+                return *frame;
+        return frameForSlow(fn);
+    }
+
+    Frame &frameForSlow(u64 fn);
+
+    template <typename T>
+    T
+    readScalar(PhysAddr addr) const
+    {
+        T v{};
+        if (!inOneFrame(addr, sizeof(T)))
+            read(addr, &v, sizeof(T));
+        else if (const Frame *frame = frameForRead(addr))
+            std::memcpy(&v, frame->data() + (addr & kPageMask), sizeof(T));
+        return v;
+    }
+
+    template <typename T>
+    void
+    writeScalar(PhysAddr addr, T value)
+    {
+        if (!inOneFrame(addr, sizeof(T))) {
+            write(addr, &value, sizeof(T));
+            return;
+        }
+        if (observer_)
+            observer_(addr, sizeof(T));
+        std::memcpy(frameFor(addr).data() + (addr & kPageMask), &value,
+                    sizeof(T));
+    }
 
     u64 capacity_;
     u64 next_free_frame_ = 1; // frame 0 reserved: catches null derefs
     u64 allocated_frames_ = 0;
     std::vector<u64> freelist_;
-    mutable std::unordered_map<u64, std::unique_ptr<Frame>> frames_;
+    std::vector<std::unique_ptr<Chunk>> dir_; //!< frame directory
     WriteObserver observer_;
 };
 

@@ -323,7 +323,7 @@ Nic::deviceTxPump()
 
     // Gather the descriptors of the next packet (through the ring's
     // own translation, like real hardware fetching its ring).
-    std::vector<u32> idxs;
+    tx_wire_idxs_.clear();
     bool fault = false;
     u32 idx = tx_ring_->head();
     for (;;) {
@@ -331,15 +331,15 @@ Nic::deviceTxPump()
             deviceReadDesc(tx_ring_mapping_, *tx_ring_, idx, &fault);
         if (!desc.ownedByDevice() && !fault)
             return; // spurious kick; nothing posted yet
-        idxs.push_back(idx);
+        tx_wire_idxs_.push_back(idx);
         if (desc.endOfPacket() || fault ||
-            idxs.size() >= profile_.tx_buffers_per_packet)
+            tx_wire_idxs_.size() >= profile_.tx_buffers_per_packet)
             break;
         idx = tx_ring_->next(idx);
     }
 
     // Fetch the target buffers through translation.
-    for (u32 i : idxs) {
+    for (u32 i : tx_wire_idxs_) {
         const TxMeta &meta = tx_meta_[i];
         if (!meta.mapped)
             continue;
@@ -351,26 +351,27 @@ Nic::deviceTxPump()
         }
     }
 
-    const net::Packet pkt = tx_meta_[idxs.back()].pkt;
+    tx_wire_pkt_ = tx_meta_[tx_wire_idxs_.back()].pkt;
     tx_busy_ = true;
-    const Nanos tx_ns = static_cast<Nanos>(
-        net::wireTimeNs(pkt.payload_bytes, profile_.line_rate_gbps));
+    const Nanos tx_ns = static_cast<Nanos>(net::wireTimeNs(
+        tx_wire_pkt_.payload_bytes, profile_.line_rate_gbps));
     const u64 e = epoch_;
-    sim_.scheduleAfter(std::max<Nanos>(tx_ns, 1), [this, idxs, pkt,
-                                                   fault, e] {
+    sim_.scheduleAfter(std::max<Nanos>(tx_ns, 1), [this, fault, e] {
         if (e != epoch_)
             return; // NIC unplugged while the packet was in flight
         // Completion: write back status through translation, retire
         // the descriptors, maybe coalesce an interrupt.
-        for (u32 i : idxs) {
+        const net::Packet pkt = tx_wire_pkt_;
+        const auto ndescs = static_cast<u32>(tx_wire_idxs_.size());
+        for (u32 i : tx_wire_idxs_) {
             Descriptor desc = tx_ring_->read(i);
             desc.flags = (desc.flags & ~Descriptor::kOwnedByDevice) |
                          Descriptor::kCompleted;
             deviceWriteDesc(tx_ring_mapping_, *tx_ring_, i, desc);
             tx_ring_->pop();
         }
-        tx_completed_since_irq_ += static_cast<u32>(idxs.size());
-        tx_completed_unclean_ += static_cast<u32>(idxs.size());
+        tx_completed_since_irq_ += ndescs;
+        tx_completed_unclean_ += ndescs;
         updateObsGauges();
         ++stats_.tx_packets;
         stats_.tx_payload_bytes += pkt.payload_bytes;

@@ -220,6 +220,11 @@ class Nic
     u32 tx_completed_since_irq_ = 0;
     bool tx_kick_scheduled_ = false;
     bool tx_busy_ = false;
+    // The one packet on the wire while tx_busy_: its descriptor
+    // indices and metadata. Kept here, not in the completion event,
+    // so the event stays inline and a Tx packet costs no allocation.
+    std::vector<u32> tx_wire_idxs_;
+    net::Packet tx_wire_pkt_;
     bool tx_irq_pending_ = false;
     bool tx_irq_timer_pending_ = false;
     BufferPool header_pool_;

@@ -11,6 +11,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "dma/dma_context.h"
 #include "iommu/inval_queue.h"
 #include "nvme/nvme.h"
@@ -173,6 +175,67 @@ TEST_P(LifecycleModeTest, ReplugRestoresService)
     EXPECT_EQ(log[1].phase, sys::LifecyclePhase::kRemoveCleanup);
     EXPECT_EQ(log[2].phase, sys::LifecyclePhase::kReattach);
     EXPECT_EQ(log[3].phase, sys::LifecyclePhase::kReplug);
+}
+
+TEST_P(LifecycleModeTest, StaleTxCompletionAfterReplugTouchesNothing)
+{
+    // Probe run: when does one packet's Tx completion fire?
+    Nanos t_complete = 0;
+    {
+        des::Simulator sim;
+        sys::Machine m(sim, GetParam(), testProfile());
+        m.bringUp();
+        m.nic().setWireTxCallback(
+            [&](const net::Packet &) { t_complete = sim.now(); });
+        m.core().post([&] {
+            ASSERT_TRUE(m.nic().sendPacket(mappedPacket()).isOk());
+        });
+        sim.run();
+        ASSERT_GT(t_complete, 1u);
+    }
+
+    // Same run, stopped just before that completion: the packet is on
+    // the wire, its completion event pending.
+    des::Simulator sim;
+    sys::Machine m(sim, GetParam(), testProfile());
+    m.bringUp();
+    std::vector<u64> wire_flows;
+    m.nic().setWireTxCallback(
+        [&](const net::Packet &pkt) { wire_flows.push_back(pkt.flow); });
+    net::Packet old_pkt = mappedPacket();
+    old_pkt.flow = 1;
+    m.core().post(
+        [&] { ASSERT_TRUE(m.nic().sendPacket(old_pkt).isOk()); });
+    sim.runUntil(t_complete - 1);
+    ASSERT_EQ(sim.nextEventTime(), t_complete);
+    ASSERT_EQ(m.nic().stats().tx_packets, 0u);
+
+    // Unplug under the in-flight packet, replug, send one new packet.
+    // The stale completion fires first and must retire nothing: not
+    // even the new packet, which sits in the same ring slot.
+    u32 space_after_replug = 0;
+    net::Packet new_pkt = mappedPacket();
+    new_pkt.flow = 2;
+    m.core().post([&] {
+        m.surpriseUnplugNic(0);
+        m.removeCleanupNic(0);
+        ASSERT_TRUE(m.replugNic(0).isOk());
+        space_after_replug = m.nic().txSpacePackets(1000);
+        ASSERT_TRUE(m.nic().sendPacket(new_pkt).isOk());
+    });
+    sim.run();
+
+    EXPECT_EQ(wire_flows, std::vector<u64>{2});
+    EXPECT_EQ(m.nic().stats().tx_packets, 1u);
+    EXPECT_EQ(m.nic().txSpacePackets(1000), space_after_replug)
+        << "every descriptor retired and recycled exactly once";
+    EXPECT_EQ(m.nic().liveMappings(),
+              m.nic().profile().rx_rings *
+                      m.nic().profile().rx_ring_entries + 2)
+        << "only the static rings and the Rx prefill stay mapped";
+    ASSERT_TRUE(m.quiesceNic(0).isOk());
+    const dma::LeakReport rep = m.ctx().checkHandleLeaks(m.handle());
+    EXPECT_TRUE(rep.clean()) << rep.toString();
 }
 
 INSTANTIATE_TEST_SUITE_P(

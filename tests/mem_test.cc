@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "mem/phys_mem.h"
@@ -71,6 +72,68 @@ TEST(PhysicalMemory, FillZero)
     EXPECT_EQ(pm.read64(0x1000), 0u);
 }
 
+TEST(PhysicalMemory, WriteObserverSeesExactRangeOnEveryWritePath)
+{
+    PhysicalMemory pm;
+    std::vector<std::pair<PhysAddr, u64>> seen;
+    pm.setWriteObserver(
+        [&](PhysAddr addr, u64 size) { seen.emplace_back(addr, size); });
+    const u8 buf[24] = {};
+    pm.write64(0x1008, 1);
+    pm.write64(0x1ffc, 2); // straddles two frames: general path
+    pm.write32(0x2004, 3);
+    pm.write8(0x2009, 4);
+    pm.write(0x2ff0, buf, sizeof(buf));
+    pm.fillZero(0x3010, 40);
+    const std::vector<std::pair<PhysAddr, u64>> want = {
+        {0x1008, 8}, {0x1ffc, 8}, {0x2004, 4},
+        {0x2009, 1}, {0x2ff0, 24}, {0x3010, 40}};
+    EXPECT_EQ(seen, want);
+
+    pm.setWriteObserver(nullptr);
+    pm.write64(0x1008, 5);
+    EXPECT_EQ(seen.size(), want.size());
+}
+
+TEST(PhysicalMemory, Word64AtFrameEdges)
+{
+    PhysicalMemory pm;
+    const PhysAddr last_slot = 5 * kPageSize + 4088; // last in-frame slot
+    pm.write64(last_slot, 0x1122334455667788ULL);
+    EXPECT_EQ(pm.read64(last_slot), 0x1122334455667788ULL);
+    EXPECT_EQ(pm.read64(last_slot + 8), 0u) << "next frame untouched";
+
+    const PhysAddr straddle = 7 * kPageSize + 4092; // spans two frames
+    pm.write64(straddle, 0xa1b2c3d4e5f60718ULL);
+    EXPECT_EQ(pm.read64(straddle), 0xa1b2c3d4e5f60718ULL);
+    EXPECT_EQ(pm.read32(straddle), 0xe5f60718u);
+    EXPECT_EQ(pm.read32(straddle + 4), 0xa1b2c3d4u);
+}
+
+TEST(PhysicalMemory, UntouchedFrameInTouchedChunkReadsZero)
+{
+    PhysicalMemory pm;
+    // Frames 1 and 2 share one directory chunk; only frame 1 exists.
+    pm.write64(kPageSize, ~u64{0});
+    EXPECT_EQ(pm.read64(2 * kPageSize), 0u);
+    EXPECT_EQ(pm.read8(2 * kPageSize + 17), 0u);
+    u8 buf[32];
+    std::memset(buf, 0xee, sizeof(buf));
+    pm.read(2 * kPageSize + 100, buf, sizeof(buf));
+    for (u8 b : buf)
+        EXPECT_EQ(b, 0);
+}
+
+TEST(PhysicalMemory, LastWordOfDefaultCapacity)
+{
+    PhysicalMemory pm;
+    ASSERT_EQ(pm.capacity(), u64{8} << 30);
+    const PhysAddr last = pm.capacity() - 8;
+    EXPECT_EQ(pm.read64(last), 0u);
+    pm.write64(last, 0x0123456789abcdefULL);
+    EXPECT_EQ(pm.read64(last), 0x0123456789abcdefULL);
+}
+
 TEST(PhysicalMemory, FrameAllocationIsZeroedAndDistinct)
 {
     PhysicalMemory pm;
@@ -115,6 +178,16 @@ TEST(PhysicalMemoryDeathTest, OutOfRangeAccessPanics)
     EXPECT_DEATH(pm.write64(2 << 20, 1), "out of range");
     u64 v;
     EXPECT_DEATH(pm.read((2 << 20), &v, 8), "out of range");
+}
+
+TEST(PhysicalMemoryDeathTest, Word64PastCapacityPanics)
+{
+    PhysicalMemory pm;
+    const PhysAddr cap = pm.capacity();
+    EXPECT_DEATH(pm.read64(cap - 4), "out of range");
+    EXPECT_DEATH(pm.write64(cap - 4, 1), "out of range");
+    EXPECT_DEATH(pm.read64(cap), "out of range");
+    EXPECT_DEATH(pm.write64(cap + kPageSize, 1), "out of range");
 }
 
 TEST(PhysicalMemoryDeathTest, ExhaustionPanics)
