@@ -8,6 +8,7 @@
 #define RIO_BENCH_BENCH_COMMON_H
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -74,11 +75,12 @@ struct BenchArgs
     const char *json_path = nullptr;     //!< --json <path>
     const char *timeline_path = nullptr; //!< --timeline <path>
     /**
-     * --threads N: worker threads for the engine-backed sweeps
-     * (workloads/sweep.h). Simulation results are byte-identical for
-     * any value — only host wall-clock changes (golden_selfperf
-     * enforces this) — so benches that still run sequentially simply
-     * record the flag in their JSON and ignore it.
+     * --threads N: worker threads for the uncoupled engine sweeps
+     * (workloads/sweep.h), capped at one per lane. Coupled cluster
+     * lanes always run inline on one thread, and benches that run
+     * sequentially record the flag in their JSON and ignore it.
+     * Simulation results are byte-identical for any value (the
+     * golden_* ctests enforce this).
      */
     unsigned threads = 1;
     /** --slo: turn on exact per-op tail recording (obs::SloReport). */
@@ -86,6 +88,32 @@ struct BenchArgs
     /** --timeline-cap N: per-track event-ring capacity override. */
     size_t timeline_cap = 0;
 };
+
+/**
+ * The value after the numeric flag at argv[@p i], which must be a
+ * whole positive number that fits @p T. Anything else — missing,
+ * zero, negative, non-numeric, trailing garbage, overflow — prints a
+ * usage line and exits 2.
+ */
+template <typename T>
+T
+positiveFlagValue(int argc, char **argv, int &i)
+{
+    const char *flag = argv[i];
+    if (i + 1 < argc) {
+        const std::string_view s(argv[++i]);
+        const char *end = s.data() + s.size();
+        T v = 0;
+        const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+        if (ec == std::errc() && ptr == end && v > 0)
+            return v;
+    }
+    std::fprintf(stderr,
+                 "usage: %s [--threads N] [--timeline-cap N]: %s takes "
+                 "a positive integer\n",
+                 argv[0], flag);
+    std::exit(2);
+}
 
 /**
  * Parse the uniform bench arguments (bench-specific flags like
@@ -105,11 +133,10 @@ parseBenchArgs(int argc, char **argv)
             args.json_path = argv[++i];
         else if (arg == "--timeline" && i + 1 < argc)
             args.timeline_path = argv[++i];
-        else if (arg == "--threads" && i + 1 < argc)
-            args.threads = std::max(1, std::atoi(argv[++i]));
-        else if (arg == "--timeline-cap" && i + 1 < argc)
-            args.timeline_cap = static_cast<size_t>(
-                std::max(1LL, std::atoll(argv[++i])));
+        else if (arg == "--threads")
+            args.threads = positiveFlagValue<unsigned>(argc, argv, i);
+        else if (arg == "--timeline-cap")
+            args.timeline_cap = positiveFlagValue<size_t>(argc, argv, i);
         else if (arg == "--slo")
             args.slo = true;
     }

@@ -5,7 +5,7 @@
  * metrics (cycles, Gbps); this one reports host wall-clock, simulated
  * packets per host-second, and DES events per host-second, for the
  * same four-lane sweep on the sequential engine (--threads 1) and on
- * the worker pool (--threads N).
+ * up to one thread per lane (--threads N).
  *
  * The workload is four independent Netperf-stream runs — strict,
  * defer, riommu, none — one engine lane each, the exact shape
@@ -16,7 +16,7 @@
  * is the golden_selfperf ctest.)
  *
  * Speedup expectations are hardware-dependent: lanes outnumbering
- * physical cores — or a 1-CPU CI box — serialize the pool, so the
+ * physical cores — or a 1-CPU CI box — serialize the threads, so the
  * table reports whatever the host delivers; see EXPERIMENTS.md.
  */
 #include "bench_common.h"

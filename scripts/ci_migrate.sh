@@ -27,7 +27,7 @@ export UBSAN_OPTIONS="print_stacktrace=1"
 "$BUILD_DIR/tests/migrate_test"
 
 # MigrateFuzz soak: platform x dirty x loss x stream-abort campaigns,
-# each seed replayed on 1 and 2 worker threads and compared field for
+# each seed replayed at threads = 1 and 2 and compared field for
 # field (arena hashes and the migrated-away ledger included).
 export RIO_MIGRATE_EXTRA_SEEDS="424243,797003,1299709"
 "$BUILD_DIR/tests/fuzz_test" --gtest_filter='*MigrateFuzz*'

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 test suite under AddressSanitizer + UBSan, then the threaded
-# suites under ThreadSanitizer (both via the RIO_SANITIZE CMake
-# option). Run from the repo root:
+# and engine suites under ThreadSanitizer (both via the RIO_SANITIZE
+# CMake option). Run from the repo root:
 #
 #   scripts/ci_sanitize.sh [build-dir] [tsan-build-dir]
 #
@@ -46,10 +46,12 @@ export RIO_VIRT_EXTRA_SEEDS="6007,28657"
 "$BUILD_DIR/tests/magazine_churn_test"
 
 # ---- ThreadSanitizer lane (RIO_SANITIZE=thread) --------------------
-# Everything that actually runs worker threads: the parallel engine's
-# determinism suite, the obs layer's concurrent-update test (atomic
+# The engine runs threads only for uncoupled lanes (a parameter
+# sweep): the parallel engine's suite (including its one-thread-per-
+# lane and coupled-runs-inline cases), the spinlock and magazine_churn
+# lane tests, the obs layer's concurrent-update test (atomic
 # counters/gauges, spin-locked histograms, locked registry), and a
-# real threaded sweep via bench_selfperf — four lanes on four workers.
+# real threaded sweep via bench_selfperf — four lanes on four threads.
 cmake -B "$TSAN_DIR" -S . -DRIO_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$TSAN_DIR" -j "$(nproc)" -- \
@@ -63,16 +65,16 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 "$TSAN_DIR/tests/spinlock_test"
 "$TSAN_DIR/tests/magazine_churn_test"
 RIO_BENCH_QUICK=1 "$TSAN_DIR/bench/bench_selfperf" --threads 4 --quick
-# Cluster fabric across real worker threads: the ClusterFuzz campaign
-# (each seed replayed on 1 and 3 workers) and a threaded fabric sweep
-# — cross-lane mail hand-off and the barrier drain are the only
-# inter-thread channels, and TSan holds them to that.
+# Coupled runs stay on one thread: the ClusterFuzz campaign (each
+# seed replayed at threads = 1 and 3) and a cluster sweep asked for
+# 4 threads must run every lane inline, so the lock-free cross-lane
+# mailbox never sees a second thread; TSan would flag one that did.
 "$TSAN_DIR/tests/fuzz_test" --gtest_filter='*ClusterFuzz*'
 RIO_BENCH_QUICK=1 "$TSAN_DIR/bench/bench_cluster_rdma" \
     --connections 64 --quick --threads 4 > /dev/null
-# Exact SLO recording + trace-context propagation across worker
-# threads: per-lane recorders and the TLS trace slot are the new
-# cross-thread surfaces this PR adds.
+# Exact SLO recording + trace-context propagation on a coupled run
+# asked for 4 threads: per-lane recorders and the TLS trace slot must
+# stay on the calling thread.
 RIO_BENCH_QUICK=1 "$TSAN_DIR/bench/bench_tail_latency" \
     --quick --slo --threads 4 > /dev/null 2>&1
 unset TSAN_OPTIONS

@@ -27,7 +27,7 @@ export UBSAN_OPTIONS="print_stacktrace=1"
 "$BUILD_DIR/tests/cluster_test"
 
 # WireFuzz soak: loss x incast x abort-churn campaigns, each seed
-# replayed on 1 and 3 worker threads and compared field for field
+# replayed at threads = 1 and 3 and compared field for field
 # (retransmit, RTO, QP-error and late-arrival counters included).
 export RIO_WIRE_EXTRA_SEEDS="2147483647,998244353,613566757"
 "$BUILD_DIR/tests/fuzz_test" --gtest_filter='*WireFuzz*'

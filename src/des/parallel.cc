@@ -1,6 +1,8 @@
 #include "des/parallel.h"
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
 #include <utility>
 
 #include "base/logging.h"
@@ -12,19 +14,20 @@ void
 Lane::sendTo(Lane &dst, Nanos when, Simulator::Callback fn)
 {
     RIO_ASSERT(fn, "sending null mail");
-    const u64 seq = send_seq_++;
+    // Uncoupled windows run on several threads with no inbox lock;
+    // mail is only safe between lanes that run inline.
+    RIO_ASSERT(engine_.lookahead() != Simulator::kNoEvent,
+               "cross-lane send on an engine with infinite lookahead");
     // Capture the sender's trace context so the receiving lane's
     // callback — and every event it emits — attributes to the same
     // distributed op. Host-side metadata only.
-    const u64 trace = obs::currentTrace();
-    std::lock_guard<std::mutex> g(dst.inbox_mu_);
-    dst.inbox_.push_back(Mail{when, id_, seq, trace, std::move(fn)});
+    dst.inbox_.push_back(
+        Mail{when, id_, send_seq_++, obs::currentTrace(), std::move(fn)});
 }
 
 Nanos
-Lane::earliestMail()
+Lane::earliestMail() const
 {
-    std::lock_guard<std::mutex> g(inbox_mu_);
     Nanos t = Simulator::kNoEvent;
     for (const Mail &m : inbox_)
         t = std::min(t, m.when);
@@ -34,16 +37,9 @@ Lane::earliestMail()
 void
 Lane::drainInbox()
 {
-    std::vector<Mail> mail;
-    {
-        std::lock_guard<std::mutex> g(inbox_mu_);
-        mail.swap(inbox_);
-    }
-    if (mail.empty())
-        return;
-    // Total order fixed by simulation content, not thread timing:
-    // timestamp, then sending lane, then the sender's own sequence.
-    std::sort(mail.begin(), mail.end(),
+    // Total order fixed by simulation content: timestamp, then
+    // sending lane, then the sender's own sequence.
+    std::sort(inbox_.begin(), inbox_.end(),
               [](const Mail &a, const Mail &b) {
                   if (a.when != b.when)
                       return a.when < b.when;
@@ -51,7 +47,7 @@ Lane::drainInbox()
                       return a.src < b.src;
                   return a.seq < b.seq;
               });
-    for (Mail &m : mail) {
+    for (Mail &m : inbox_) {
         // The conservative invariant: drains happen at window
         // barriers, where this lane's clock sits exactly at the end
         // of the last window it ran. Mail sent inside that window
@@ -77,6 +73,7 @@ Lane::drainInbox()
         }
         ++mail_delivered_;
     }
+    inbox_.clear();
 }
 
 ParallelEngine::ParallelEngine(unsigned threads)
@@ -84,24 +81,11 @@ ParallelEngine::ParallelEngine(unsigned threads)
 {
 }
 
-ParallelEngine::~ParallelEngine()
-{
-    if (pool_.empty())
-        return;
-    {
-        std::lock_guard<std::mutex> g(pool_mu_);
-        stopping_ = true;
-    }
-    cv_work_.notify_all();
-    for (std::thread &t : pool_)
-        t.join();
-}
-
 Lane &
 ParallelEngine::addLane()
 {
     lanes_.push_back(
-        std::make_unique<Lane>(static_cast<u32>(lanes_.size())));
+        std::make_unique<Lane>(static_cast<u32>(lanes_.size()), *this));
     return *lanes_.back();
 }
 
@@ -117,94 +101,44 @@ ParallelEngine::nextTime()
 }
 
 void
-ParallelEngine::laneWindow(Lane &lane, Nanos window_end)
-{
-    // No inbox access here: mail is delivered only at the barrier in
-    // runWindow(), while every lane is quiescent. Draining from
-    // inside the window would race with concurrent senders — mail
-    // timestamped exactly at the horizon (wire == lookahead) would
-    // land in the current or the next drain batch depending on
-    // thread scheduling, perturbing the (when, src, seq) order.
-    lane.sim().runUntil(window_end);
-}
-
-void
-ParallelEngine::startPoolOnce()
-{
-    if (!pool_.empty() || threads_ <= 1)
-        return;
-    pool_.reserve(threads_ - 1);
-    for (unsigned i = 0; i + 1 < threads_; ++i)
-        pool_.emplace_back([this] { workerLoop(); });
-}
-
-void
-ParallelEngine::workerLoop()
-{
-    u64 seen = 0;
-    for (;;) {
-        Nanos window_end;
-        {
-            std::unique_lock<std::mutex> g(pool_mu_);
-            cv_work_.wait(g, [&] {
-                return stopping_ || generation_ != seen;
-            });
-            if (stopping_)
-                return;
-            seen = generation_;
-            window_end = window_end_;
-        }
-        for (;;) {
-            const size_t i =
-                next_lane_.fetch_add(1, std::memory_order_relaxed);
-            if (i >= lanes_.size())
-                break;
-            laneWindow(*lanes_[i], window_end);
-        }
-        {
-            std::lock_guard<std::mutex> g(pool_mu_);
-            ++workers_done_;
-        }
-        cv_done_.notify_one();
-    }
-}
-
-void
 ParallelEngine::runWindow(Nanos window_end)
 {
     ++rounds_;
-    // Deliver all queued mail before any lane starts the window.
-    // Every lane is quiescent at this point (between windows), so no
-    // sendTo can race the drain: each message is scheduled in exactly
-    // one deterministic batch — the barrier following the window that
-    // sent it — and the per-lane drain order (ascending lane index on
-    // this one thread) fixes the receiving simulators' FIFO sequence
-    // numbers independent of thread count or scheduling.
+    // Deliver all queued mail before any lane starts the window, in
+    // ascending lane order on this thread, while every lane is
+    // quiescent: each message is scheduled in exactly one batch — the
+    // barrier following the window that sent it.
     for (auto &l : lanes_)
         l->drainInbox();
-    if (threads_ <= 1 || lanes_.size() <= 1) {
+    // Coupled lanes run inline: a window of a few events is cheaper
+    // than handing it to another thread and back.
+    const size_t workers =
+        lookahead_ == Simulator::kNoEvent
+            ? std::min<size_t>(threads_, lanes_.size())
+            : 1;
+    if (workers <= 1) {
         for (auto &l : lanes_)
-            laneWindow(*l, window_end);
+            l->sim().runUntil(window_end);
         return;
     }
-    startPoolOnce();
-    {
-        std::lock_guard<std::mutex> g(pool_mu_);
-        window_end_ = window_end;
-        workers_done_ = 0;
-        next_lane_.store(0, std::memory_order_relaxed);
-        ++generation_;
-    }
-    cv_work_.notify_all();
-    // The caller is a worker too.
-    for (;;) {
-        const size_t i = next_lane_.fetch_add(1, std::memory_order_relaxed);
-        if (i >= lanes_.size())
-            break;
-        laneWindow(*lanes_[i], window_end);
-    }
-    std::unique_lock<std::mutex> g(pool_mu_);
-    cv_done_.wait(g, [&] { return workers_done_ == pool_.size(); });
+    // Uncoupled: the one window of this call runs on threads started
+    // here, each claiming whole lanes until none are left; the
+    // helpers join when they go out of scope, before the counter.
+    std::atomic<size_t> next_lane{0};
+    auto claimLanes = [&] {
+        for (;;) {
+            const size_t i =
+                next_lane.fetch_add(1, std::memory_order_relaxed);
+            if (i >= lanes_.size())
+                return;
+            lanes_[i]->sim().runUntil(window_end);
+        }
+    };
+    std::vector<std::jthread> helpers;
+    helpers.reserve(workers - 1);
+    for (size_t i = 1; i < workers; ++i)
+        helpers.emplace_back(claimLanes);
+    claimLanes();
 }
 
 void
@@ -226,8 +160,6 @@ ParallelEngine::runUntil(Nanos deadline)
         if (lookahead_ != Simulator::kNoEvent &&
             next <= Simulator::kNoEvent - lookahead_)
             horizon = next + lookahead_;
-        else if (lookahead_ != Simulator::kNoEvent)
-            horizon = Simulator::kNoEvent;
         runWindow(std::min(horizon, deadline));
     }
     if (deadline != Simulator::kNoEvent) {

@@ -96,7 +96,7 @@ FlightRecorder::dump(const std::string &reason)
                      ring_.size(), d.text.c_str());
         {
             // Publish to the process-wide archive so a dump fired on
-            // a worker-lane thread outlives the pool and is readable
+            // a lane's worker thread outlives that thread and is readable
             // from the main thread (dumps_ is thread-confined).
             std::lock_guard<std::mutex> g(archiveMutex());
             archiveList().push_back(d);
@@ -130,7 +130,7 @@ flightRecorder()
     // that matters — and the dump is both printed to stderr and
     // published to the process-wide archive (flightDumpArchive()), so
     // it stays inspectable from the main thread after lanes join and
-    // the pool thread (with its thread-local recorder) is gone.
+    // the worker thread (with its thread-local recorder) is gone.
     static thread_local FlightRecorder fr;
     return fr;
 }

@@ -11,8 +11,9 @@
  *
  * Wire model: every message pays profile.wire_ns one-way latency plus
  * RoCE serialization; wire_ns doubles as the engine's conservative
- * lookahead, so lanes run whole windows in parallel and runs are
- * byte-identical for any --threads value (the ParallelEngine
+ * lookahead. That makes the lanes coupled, so the engine runs every
+ * window inline on the calling thread whatever `threads` says, and
+ * runs are byte-identical for any --threads value (the ParallelEngine
  * determinism contract, re-asserted by cluster_test and the
  * golden_cluster ctest).
  */
@@ -34,7 +35,7 @@ namespace rio::sys {
 struct ClusterConfig
 {
     unsigned machines = 2;
-    unsigned threads = 1; //!< ParallelEngine workers
+    unsigned threads = 1; //!< no effect: coupled lanes run inline
     dma::ProtectionMode mode = dma::ProtectionMode::kRiommu;
     rdma::RdmaProfile profile = rdma::rnicProfile();
     u32 max_qps = 64; //!< QP slots per machine (initiated + accepted)

@@ -11,8 +11,7 @@
  * time (>= lookahead, as before); the fault model runs inside the
  * delivered callback on the destination lane, where mail is drained
  * in the engine's fixed (when, src lane, seq) order. RNG draws
- * therefore happen in an order independent of the worker-thread
- * count, and re-deliveries (duplicates, delays, queue drains) are
+ * therefore happen in an order fixed by the simulation alone, and re-deliveries (duplicates, delays, queue drains) are
  * plain lane-local scheduleAt events — no second lookahead crossing
  * is ever needed. `--threads 1` ≡ `--threads N` byte-for-byte, the
  * same contract the lossless wire had (DESIGN.md §14).

@@ -8,6 +8,10 @@
  * own Machine(s), and the engine's default infinite lookahead runs
  * them all in a single window.
  *
+ * This is the engine's only threaded path: the single window runs
+ * on min(threads, jobs) threads started for the call and joined
+ * before it returns (coupled cluster lanes always run inline).
+ *
  * Determinism: each lane replays the exact event sequence the old
  * sequential bench ran in its private simulator, so per-job results
  * are bit-identical for any thread count — including thread count 1,
@@ -49,7 +53,7 @@ struct RrJob
 };
 
 /**
- * Run every job, one engine lane each, on @p threads worker threads
+ * Run every job, one engine lane each, on up to @p threads threads
  * (1 = sequential, the bench default). Results are in job order and
  * independent of @p threads.
  */

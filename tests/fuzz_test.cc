@@ -681,9 +681,10 @@ INSTANTIATE_TEST_SUITE_P(
  * Zipf-skewed traffic, and (half the seeds) translation-fault
  * injection — the combination that exercises QP slot recycling, the
  * kClosing drain path, NAK completions, and cross-lane mail ordering
- * at once. Each campaign runs twice, on 1 worker thread and on 3, and
- * the two reports must agree field for field (the parallel engine's
- * determinism contract extended to the full RDMA stack). Invariants
+ * at once. Each campaign runs twice, at threads = 1 and 3, and the
+ * two reports must agree field for field (the parallel engine's
+ * determinism contract extended to the full RDMA stack; coupled
+ * lanes run inline, so the thread count must not leak in). Invariants
  * on top: every successful post produces exactly one CQE (ok or
  * error), fault-free configs complete error-free, churn configs
  * actually tear down and re-establish QPs, and the leak detector is
@@ -830,7 +831,7 @@ INSTANTIATE_TEST_SUITE_P(
  * drop/dup/delay injection, bounded ingress ports under incast,
  * hard-abort churn (app death stranding in-flight data), and the
  * RoCE-style reliability layer recovering behind it all. Same
- * determinism contract: each campaign runs on 1 and 3 worker threads
+ * determinism contract: each campaign runs at threads = 1 and 3
  * and the reports must agree field for field, now including the
  * retransmit/RTO/QP-error and late-arrival counters. Invariants on
  * top: CQE conservation survives loss (every post completes, ok or
@@ -977,7 +978,7 @@ INSTANTIATE_TEST_SUITE_P(
  * forked, or double-applied, whatever the wire did), protected modes
  * land zero post-migration strays, both guest and hypervisor handles
  * quiesce leak-free, and the whole report agrees field for field
- * between 1 and 2 worker threads. RIO_MIGRATE_EXTRA_SEEDS appends
+ * between threads = 1 and 2. RIO_MIGRATE_EXTRA_SEEDS appends
  * seeds (the migration CI soak).
  */
 std::vector<ClusterFuzzParam>

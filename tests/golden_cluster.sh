@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Cluster-fabric determinism regression: bench_cluster_rdma at the
 # smallest sweep point must reproduce the checked-in golden byte for
-# byte, and must not move when the lanes run on a worker pool. The
-# bench itself RIO_ASSERTs the fig7-equivalent mode ordering (none
+# byte, and must not move with --threads (coupled lanes run inline).
+# The bench itself RIO_ASSERTs the fig7-equivalent mode ordering (none
 # cheapest, riommu < strict at 64 QPs/machine), so a passing run
 # re-certifies the single-connection-regime result; this script pins
 # the numbers. Any diff means cross-machine mail ordering, a stray

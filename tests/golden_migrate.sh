@@ -9,8 +9,9 @@
 #   2. The armed engine is deterministic: the full migration sweep
 #      (pre-copy over a lossy wire, blackout, stray ledger) must be
 #      byte-identical at --threads 1 and --threads 4 (modulo the
-#      threads meta field) — dirtier draws, stream retransmits and
-#      per-platform state replay all commute with the worker pool.
+#      threads meta field) — the engine runs coupled lanes inline, so
+#      dirtier draws, stream retransmits and per-platform state replay
+#      must not see the thread count at all.
 #
 # Usage: golden_migrate.sh <bench_migration> <cluster_golden.json>
 set -euo pipefail

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Thread-count invariance regression for the parallel engine: the
 # engine-backed sweeps must produce byte-identical JSON whether the
-# lanes run sequentially or on a worker pool, and that output must
+# lanes run sequentially or on several threads, and that output must
 # still match the pre-refactor checked-in goldens. Any diff means a
 # lane leaked state across threads — a shared RNG draw, a racy
 # counter feeding a result, a reordered mailbox.

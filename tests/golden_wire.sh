@@ -9,7 +9,7 @@
 #   2. The armed wire is deterministic: a lossy/congested storm point
 #      must be byte-identical at --threads 1 and --threads 4 (modulo
 #      the threads meta field) — drop/dup/delay draws, RTO timers and
-#      QP-error recovery all replay identically on a worker pool.
+#      QP-error recovery all replay identically whatever --threads says.
 #
 # Usage: golden_wire.sh <bench_wire_storm> <cluster_golden.json>
 set -euo pipefail

@@ -317,7 +317,7 @@ TEST_F(ObsTest, DumpLimitRetainsFirstFewButCountsAll)
 TEST_F(ObsTest, WorkerThreadDumpsReachProcessWideArchive)
 {
     flightDump("main_side");
-    // A dump fired from a pool thread (mid-window assertion under
+    // A dump fired from a worker thread (mid-window assertion under
     // ParallelEngine) lives in that thread's recorder, which dies
     // with the thread — the archive is what keeps it inspectable.
     std::thread worker([] {

@@ -1,12 +1,16 @@
 /**
  * @file
  * Tests for the conservative parallel engine: lane isolation, mail
- * ordering, horizon math, and the headline property — byte-identical
- * execution regardless of thread count.
+ * ordering, horizon math, which thread runs a window (coupled lanes
+ * inline, uncoupled ones on at most one thread per lane), and the
+ * headline property — byte-identical execution regardless of thread
+ * count.
  */
 #include <gtest/gtest.h>
 
 #include <array>
+#include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -180,6 +184,104 @@ TEST(ParallelEngine, ManyLanesManyMessagesDeterministic)
     EXPECT_EQ(seq.first, par.first);
     EXPECT_EQ(seq.second, par.second);
     EXPECT_EQ(seq.second, u64{8 * 40 * 2}) << "send event + delivery";
+}
+
+TEST(ParallelEngine, CoupledLanesRunOnTheCallingThread)
+{
+    // Three lanes volley a token round a ring; with a finite
+    // lookahead every event runs inline, whatever the thread count.
+    constexpr Nanos kWire = 20;
+    ParallelEngine eng(4);
+    for (int i = 0; i < 3; ++i)
+        eng.addLane();
+    eng.setLookahead(kWire);
+    std::vector<std::thread::id> ran;
+    struct Hop
+    {
+        static void
+        arm(ParallelEngine &eng, size_t from, int left,
+            std::vector<std::thread::id> &ran)
+        {
+            Lane &src = eng.lane(from);
+            const size_t to = (from + 1) % eng.laneCount();
+            src.sendTo(eng.lane(to), src.sim().now() + kWire,
+                       [&eng, to, left, &ran] {
+                           ran.push_back(std::this_thread::get_id());
+                           if (left > 1)
+                               arm(eng, to, left - 1, ran);
+                       });
+        }
+    };
+    for (size_t i = 0; i < 3; ++i)
+        eng.lane(i).sim().scheduleAt(i, [&eng, i, &ran] {
+            ran.push_back(std::this_thread::get_id());
+            Hop::arm(eng, i, 30, ran);
+        });
+    eng.run();
+    ASSERT_EQ(ran.size(), 3u * 31u);
+    for (const std::thread::id id : ran)
+        ASSERT_EQ(id, std::this_thread::get_id());
+    EXPECT_GT(eng.rounds(), 1u) << "coupled lanes need many windows";
+}
+
+/** Two uncoupled lanes, each logging (time, thread) per event, run
+ * in two runUntil calls on one engine. */
+struct UncoupledLog
+{
+    std::array<std::vector<Nanos>, 2> times;
+    std::array<std::vector<std::thread::id>, 2> ids;
+};
+
+UncoupledLog
+runUncoupledTwice(unsigned threads)
+{
+    ParallelEngine eng(threads);
+    UncoupledLog log;
+    for (size_t i = 0; i < 2; ++i) {
+        Lane &l = eng.addLane();
+        for (Nanos t = 10; t <= 200; t += 10)
+            l.sim().scheduleAt(t + i, [&l, &log, i] {
+                log.times[i].push_back(l.sim().now());
+                log.ids[i].push_back(std::this_thread::get_id());
+            });
+    }
+    eng.runUntil(100);
+    eng.runUntil(1000);
+    EXPECT_EQ(eng.rounds(), 2u) << "one window per uncoupled call";
+    return log;
+}
+
+TEST(ParallelEngine, UncoupledCallSeesAtMostOneThreadPerLane)
+{
+    const UncoupledLog seq = runUncoupledTwice(1);
+    const UncoupledLog par = runUncoupledTwice(8);
+    EXPECT_EQ(par.times, seq.times) << "second runUntil included";
+    ASSERT_EQ(seq.times[0].size(), 20u);
+    // 8 threads asked, 2 lanes to run. Each call starts its own
+    // threads, so count per call: events at t <= 100 ran in the first.
+    for (const bool first : {true, false}) {
+        std::set<std::thread::id> distinct;
+        for (size_t l = 0; l < 2; ++l)
+            for (size_t k = 0; k < par.ids[l].size(); ++k)
+                if ((par.times[l][k] <= 100) == first)
+                    distinct.insert(par.ids[l][k]);
+        EXPECT_LE(distinct.size(), 2u) << (first ? "first" : "second")
+                                       << " runUntil call";
+    }
+}
+
+TEST(ParallelEngineDeathTest, SendOnUncoupledEngineDies)
+{
+    // Uncoupled windows run lanes on several threads with no inbox
+    // lock, so mail between them must be refused outright.
+    EXPECT_DEATH(
+        {
+            ParallelEngine eng(1);
+            Lane &a = eng.addLane();
+            Lane &b = eng.addLane();
+            a.sendTo(b, 10, [] {});
+        },
+        "infinite lookahead");
 }
 
 TEST(ParallelEngineDeathTest, WireFasterThanLookaheadIsCaught)
