@@ -27,10 +27,11 @@
  *                           perf-debt fix) instead of the legacy
  *                           per-handle depot.
  *
- * Simulated results are byte-identical for any --threads value; the
- * golden_cluster ctest pins `--connections 64 --quick` JSON across
- * thread counts and this bench itself asserts the fig7-equivalent
- * mode ordering at the smallest sweep point.
+ * Simulated results are byte-identical for any --threads value
+ * (coupled lanes run inline); the golden_cluster check row pins the
+ * `--connections 64 --quick` JSON to an exact golden, and this bench
+ * itself asserts the fig7-equivalent mode ordering at the smallest
+ * sweep point.
  */
 #include "bench_common.h"
 
@@ -118,12 +119,10 @@ main(int argc, char **argv)
         const std::string_view arg(argv[i]);
         if (arg == "--quick")
             quick = true;
-        else if (arg == "--connections" && i + 1 < argc)
-            max_connections =
-                static_cast<u32>(std::max(2, std::atoi(argv[i + 1])));
-        else if (arg == "--machines" && i + 1 < argc)
-            machines = static_cast<unsigned>(
-                std::max(2, std::atoi(argv[i + 1])));
+        else if (arg == "--connections")
+            max_connections = bench::flagValue<u32>(argc, argv, i, 2);
+        else if (arg == "--machines")
+            machines = bench::flagValue(argc, argv, i, 2u);
     }
     if (max_connections == 0)
         max_connections = quick ? 256 : 16384;

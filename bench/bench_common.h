@@ -12,8 +12,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "base/strings.h"
@@ -80,7 +82,8 @@ struct BenchArgs
      * lanes always run inline on one thread, and benches that run
      * sequentially record the flag in their JSON and ignore it.
      * Simulation results are byte-identical for any value (the
-     * golden_* ctests enforce this).
+     * golden_selfperf and golden_virt_t4 rows of scripts/check.py
+     * enforce this).
      */
     unsigned threads = 1;
     /** --slo: turn on exact per-op tail recording (obs::SloReport). */
@@ -89,37 +92,88 @@ struct BenchArgs
     size_t timeline_cap = 0;
 };
 
+/** Print why @p flag's value was rejected as a usage line; exit 2. */
+[[noreturn]] inline void
+flagUsage(char **argv, const char *flag, const std::string &wants)
+{
+    std::fprintf(stderr, "usage: %s: %s takes %s\n", argv[0], flag,
+                 wants.c_str());
+    std::exit(2);
+}
+
+/** The text after the flag at argv[@p i] (a path, a name), advancing
+ * @p i; a missing one, or another flag in its place, is a usage error. */
+inline const char *
+flagText(int argc, char **argv, int &i)
+{
+    if (i + 1 >= argc || std::string_view(argv[i + 1]).starts_with("--"))
+        flagUsage(argv, argv[i], "a value");
+    return argv[++i];
+}
+
 /**
- * The value after the numeric flag at argv[@p i], which must be a
- * whole positive number that fits @p T. Anything else — missing,
- * zero, negative, non-numeric, trailing garbage, overflow — prints a
- * usage line and exits 2.
+ * The numbers after the flag at argv[@p i], advancing @p i: one
+ * number, or with @p list a comma-separated list of them, each a whole
+ * match for @p T within [@p lo, @p hi]. Anything else — missing, empty
+ * item, non-numeric, trailing garbage, out of range — prints a usage
+ * line and exits 2.
  */
 template <typename T>
-T
-positiveFlagValue(int argc, char **argv, int &i)
+std::vector<T>
+flagNumbers(int argc, char **argv, int &i, T lo, T hi, bool list)
 {
     const char *flag = argv[i];
+    std::vector<T> out;
     if (i + 1 < argc) {
-        const std::string_view s(argv[++i]);
-        const char *end = s.data() + s.size();
-        T v = 0;
-        const auto [ptr, ec] = std::from_chars(s.data(), end, v);
-        if (ec == std::errc() && ptr == end && v > 0)
-            return v;
+        std::string_view rest(argv[++i]);
+        for (;;) {
+            const size_t comma = list ? rest.find(',') : rest.npos;
+            const std::string_view item = rest.substr(0, comma);
+            const char *end = item.data() + item.size();
+            T v{};
+            const auto [ptr, ec] = std::from_chars(item.data(), end, v);
+            if (ec != std::errc() || ptr != end || !(v >= lo && v <= hi))
+                break;
+            out.push_back(v);
+            if (comma == rest.npos)
+                return out;
+            rest.remove_prefix(comma + 1);
+        }
     }
-    std::fprintf(stderr,
-                 "usage: %s [--threads N] [--timeline-cap N]: %s takes "
-                 "a positive integer\n",
-                 argv[0], flag);
-    std::exit(2);
+    const char *what = std::is_integral_v<T>
+                           ? (list ? "comma-separated integers" : "an integer")
+                           : (list ? "comma-separated numbers" : "a number");
+    std::string wants = strprintf("%s >= %g", what, double(lo));
+    if (hi != std::numeric_limits<T>::max())
+        wants += strprintf(" and <= %g", double(hi));
+    flagUsage(argv, flag, wants);
+}
+
+/** One number after the flag at argv[@p i]; see flagNumbers(). */
+template <typename T>
+T
+flagValue(int argc, char **argv, int &i, T lo,
+          T hi = std::numeric_limits<T>::max())
+{
+    return flagNumbers<T>(argc, argv, i, lo, hi, false).front();
+}
+
+/** A comma-separated list after the flag at argv[@p i]; see
+ * flagNumbers(). */
+template <typename T>
+std::vector<T>
+flagList(int argc, char **argv, int &i, T lo,
+         T hi = std::numeric_limits<T>::max())
+{
+    return flagNumbers<T>(argc, argv, i, lo, hi, true);
 }
 
 /**
  * Parse the uniform bench arguments (bench-specific flags like
- * --cores are parsed by the bench itself and ignored here). Passing
- * --timeline turns the event timeline's recording gate on for the
- * whole run; pair with finishBench() to write the trace at exit.
+ * --cores are parsed by the bench itself, with the flag helpers above,
+ * and ignored here). Passing --timeline turns the event timeline's
+ * recording gate on for the whole run; pair with finishBench() to
+ * write the trace at exit.
  * --slo flips the obs::sloRecording() gate for the whole run.
  */
 inline BenchArgs
@@ -129,14 +183,14 @@ parseBenchArgs(int argc, char **argv)
     BenchArgs args;
     for (int i = 1; i < argc; ++i) {
         const std::string_view arg(argv[i]);
-        if (arg == "--json" && i + 1 < argc)
-            args.json_path = argv[++i];
-        else if (arg == "--timeline" && i + 1 < argc)
-            args.timeline_path = argv[++i];
+        if (arg == "--json")
+            args.json_path = flagText(argc, argv, i);
+        else if (arg == "--timeline")
+            args.timeline_path = flagText(argc, argv, i);
         else if (arg == "--threads")
-            args.threads = positiveFlagValue<unsigned>(argc, argv, i);
+            args.threads = flagValue(argc, argv, i, 1u);
         else if (arg == "--timeline-cap")
-            args.timeline_cap = positiveFlagValue<size_t>(argc, argv, i);
+            args.timeline_cap = flagValue<size_t>(argc, argv, i, 1);
         else if (arg == "--slo")
             args.slo = true;
     }
@@ -170,9 +224,9 @@ finishBench(const BenchArgs &args)
  * The meta header records how the bench ran: `threads` is the
  * --threads value, `host_ms` the host wall-clock from bench startup
  * to writeTo(). host_ms is the one legitimately nondeterministic
- * field in an otherwise bit-reproducible file, so the golden_* tests
- * (and any other byte-for-byte diffing) set RIO_JSON_STABLE=1, which
- * pins it to 0.
+ * field in an otherwise bit-reproducible file, so the golden rows of
+ * scripts/check.py (and any other byte-for-byte diffing) set
+ * RIO_JSON_STABLE=1, which pins it to 0.
  */
 class JsonWriter
 {

@@ -9,20 +9,19 @@
  * Expected shape: at rate 0 the churn subsystem draws no random
  * numbers and schedules nothing, so the numbers are bit-identical to
  * bench_fig7 — the rate-0 JSON rows deliberately carry fig7's exact
- * fields and a golden ctest diffs the two files. With churn on, every
- * mode completes with zero leaked mappings; the strict modes pay the
- * most per event because recovering a vanished device's mappings eats
- * a synchronous invalidation time-out per unmapped ring entry, while
- * the deferred and rIOMMU modes never spin on the dead device — the
- * rIOMMU modes re-walk just one ring per unplug.
+ * fields and the golden_lifecycle check row compares the two. With
+ * churn on, every mode completes with zero leaked mappings; the
+ * strict modes pay the most per event because recovering a vanished
+ * device's mappings eats a synchronous invalidation time-out per
+ * unmapped ring entry, while the deferred and rIOMMU modes never spin
+ * on the dead device — the rIOMMU modes re-walk just one ring per
+ * unplug.
  */
 #include "bench_common.h"
 
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "base/logging.h"
 #include "cycles/cycle_account.h"
 
 using namespace rio;
@@ -38,41 +37,24 @@ struct Row
     workloads::RunResult r;
 };
 
-std::vector<double>
-parseRates(const char *spec)
-{
-    std::vector<double> rates;
-    std::string s(spec);
-    size_t pos = 0;
-    while (pos < s.size()) {
-        size_t comma = s.find(',', pos);
-        if (comma == std::string::npos)
-            comma = s.size();
-        rates.push_back(std::atof(s.substr(pos, comma - pos).c_str()));
-        pos = comma + 1;
-    }
-    RIO_ASSERT(!rates.empty(), "--rate needs a comma-separated list");
-    return rates;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
-    const char *rate_spec = "0,0.5,2";
+    std::vector<double> rates = {0, 0.5, 2};
     u64 churn_seed = 1;
     Nanos down_ns = 20000;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (!std::strcmp(argv[i], "--rate"))
-            rate_spec = argv[i + 1];
-        else if (!std::strcmp(argv[i], "--seed"))
-            churn_seed = std::strtoull(argv[i + 1], nullptr, 10);
-        else if (!std::strcmp(argv[i], "--down"))
-            down_ns = std::strtoull(argv[i + 1], nullptr, 10);
+    for (int i = 1; i < argc; ++i) {
+        const std::string_view arg(argv[i]);
+        if (arg == "--rate")
+            rates = bench::flagList(argc, argv, i, 0.0);
+        else if (arg == "--seed")
+            churn_seed = bench::flagValue<u64>(argc, argv, i, 0);
+        else if (arg == "--down")
+            down_ns = bench::flagValue<Nanos>(argc, argv, i, 1);
     }
-    const std::vector<double> rates = parseRates(rate_spec);
 
     bench::printHeader("Lifecycle churn: cycles/packet vs surprise "
                        "unplug/replug rate, Netperf stream on mlx");
@@ -151,8 +133,8 @@ main(int argc, char **argv)
     for (const Row &row : rows) {
         json.beginRow();
         // Rate-0 rows carry exactly fig7's fields, in fig7's order:
-        // tests/golden_lifecycle.sh diffs `--rate 0` output against
-        // bench_fig7's JSON byte-for-byte (modulo the bench name).
+        // the golden_lifecycle check row (scripts/check.py) compares
+        // `--rate 0` output with the fig7 golden, bench name aside.
         json.add("mode", dma::modeName(row.mode));
         json.add("iotlb_inv", row.inv);
         json.add("page_table", row.pt);

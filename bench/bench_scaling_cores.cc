@@ -15,37 +15,10 @@
  */
 #include "bench_common.h"
 
-#include <charconv>
-#include <optional>
-
 #include "cycles/cycle_account.h"
 #include "workloads/stream.h"
 
 using namespace rio;
-
-namespace {
-
-/** Parse a `--cores` value: comma-separated positive core counts. */
-std::optional<std::vector<unsigned>>
-parseCoreCounts(std::string_view list)
-{
-    std::vector<unsigned> counts;
-    for (;;) {
-        const size_t comma = list.find(',');
-        const std::string_view item = list.substr(0, comma);
-        unsigned v = 0;
-        const char *end = item.data() + item.size();
-        const auto [ptr, ec] = std::from_chars(item.data(), end, v);
-        if (ec != std::errc() || ptr != end || v == 0)
-            return std::nullopt;
-        counts.push_back(v);
-        if (comma == std::string_view::npos)
-            return counts;
-        list.remove_prefix(comma + 1);
-    }
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -55,20 +28,9 @@ main(int argc, char **argv)
     // `--cores 1,2,4` overrides the default sweep (the golden-output
     // regression test pins {1,2} for a fast deterministic run).
     std::vector<unsigned> core_counts = {1, 2, 4, 8};
-    for (int i = 1; i < argc; ++i) {
-        if (std::string_view(argv[i]) != "--cores")
-            continue;
-        const auto counts = i + 1 < argc ? parseCoreCounts(argv[i + 1])
-                                         : std::nullopt;
-        if (!counts) {
-            std::fprintf(stderr,
-                         "usage: %s [--cores N[,N...]]: each N is a "
-                         "positive core count\n",
-                         argv[0]);
-            return 2;
-        }
-        core_counts = *counts;
-    }
+    for (int i = 1; i < argc; ++i)
+        if (std::string_view(argv[i]) == "--cores")
+            core_counts = bench::flagList(argc, argv, i, 1u);
 
     bench::printHeader(
         "Scaling: cycles/packet vs core count, Netperf stream x K "

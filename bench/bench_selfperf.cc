@@ -13,7 +13,8 @@
  * asserted identical across both configurations: threads may only
  * change how fast the host gets there, never where it lands.
  * (Byte-level enforcement of the same property on real bench output
- * is the golden_selfperf ctest.)
+ * is the golden_selfperf check row: bench_fig7 at --threads 4 against
+ * --threads 1.)
  *
  * Speedup expectations are hardware-dependent: lanes outnumbering
  * physical cores — or a 1-CPU CI box — serialize the threads, so the

@@ -178,8 +178,8 @@ main(int argc, char **argv)
     std::string which = "all";
     bool huge = false;
     for (int i = 1; i < argc; ++i) {
-        if (std::string_view(argv[i]) == "--platform" && i + 1 < argc)
-            which = argv[i + 1];
+        if (std::string_view(argv[i]) == "--platform")
+            which = bench::flagText(argc, argv, i);
         if (std::string_view(argv[i]) == "--huge")
             huge = true;
     }
@@ -195,11 +195,9 @@ main(int argc, char **argv)
                          virt::kAllPlatforms.end());
     } else {
         const auto p = virt::parsePlatform(which);
-        if (!p) {
-            std::fprintf(stderr, "unknown --platform %s\n",
-                         which.c_str());
-            return 1;
-        }
+        if (!p)
+            bench::flagUsage(argv, "--platform",
+                             "all, bare, emulated, shadow or nested");
         // Always include bare for the advantage comparison.
         platforms = {virt::Platform::kBare, *p};
     }

@@ -8,8 +8,8 @@
  *     exhaustion and force-quiesce) leaves no mapping, IOTLB or
  *     rIOTLB residue, audited with checkHandleLeaks in all 7 modes;
  *   - fleet runs are bit-for-bit identical across ParallelEngine
- *     thread counts (the golden_cluster ctest pins the same property
- *     on the bench's JSON);
+ *     thread counts (the golden_cluster check row pins the bench's
+ *     JSON to an exact golden);
  *   - the rDEVICE descriptor-fetch model and its hot tier count
  *     fetches consistently and default to off.
  */

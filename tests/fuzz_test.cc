@@ -191,12 +191,13 @@ struct FaultFuzzParam
     int ops;
 };
 
-/** Append seeds from @p env ("101,102,...") to @p seeds — the CI
- * lanes widen fuzz campaigns without a rebuild. */
+/** Append seeds from RIO_EXTRA_SEEDS ("101,102,...") to @p seeds.
+ * Every campaign reads the same variable, so a CI lane widens one
+ * campaign by pairing it with that campaign's --gtest_filter. */
 void
-appendExtraSeeds(std::vector<u64> &seeds, const char *env)
+appendExtraSeeds(std::vector<u64> &seeds)
 {
-    const char *extra = std::getenv(env);
+    const char *extra = std::getenv("RIO_EXTRA_SEEDS");
     if (!extra)
         return;
     u64 v = 0;
@@ -219,9 +220,9 @@ appendExtraSeeds(std::vector<u64> &seeds, const char *env)
 std::vector<FaultFuzzParam>
 faultFuzzParams()
 {
-    // 8 base seeds; RIO_FUZZ_EXTRA_SEEDS appends more (sanitize CI).
+    // 8 base seeds; RIO_EXTRA_SEEDS appends more (sanitize CI).
     std::vector<u64> seeds = {3, 7, 31, 64, 129, 1023, 4096, 65537};
-    appendExtraSeeds(seeds, "RIO_FUZZ_EXTRA_SEEDS");
+    appendExtraSeeds(seeds);
     const std::array<dma::ProtectionMode, 9> all = {
         dma::ProtectionMode::kStrict,    dma::ProtectionMode::kStrictPlus,
         dma::ProtectionMode::kDefer,     dma::ProtectionMode::kDeferPlus,
@@ -374,7 +375,7 @@ INSTANTIATE_TEST_SUITE_P(
  * injection disarmed. After every removal cleanup the leak detector
  * must come back clean, every detached access must produce exactly
  * one typed record, and the final quiesce must leave nothing behind.
- * RIO_CHURN_EXTRA_SEEDS appends seeds (the lifecycle CI soak).
+ * RIO_EXTRA_SEEDS appends seeds (the lifecycle CI soak).
  */
 struct LifecycleFuzzParam
 {
@@ -387,7 +388,7 @@ std::vector<LifecycleFuzzParam>
 lifecycleFuzzParams()
 {
     std::vector<u64> seeds = {2, 17, 301};
-    appendExtraSeeds(seeds, "RIO_CHURN_EXTRA_SEEDS");
+    appendExtraSeeds(seeds);
     const std::array<dma::ProtectionMode, 7> modes = {
         dma::ProtectionMode::kStrict,   dma::ProtectionMode::kStrictPlus,
         dma::ProtectionMode::kDefer,    dma::ProtectionMode::kDeferPlus,
@@ -513,7 +514,7 @@ INSTANTIATE_TEST_SUITE_P(
  * never corrupts the data path), the shadow table mirrors the guest
  * radix table at every step, vmexit counts only grow, the leak
  * detector stays clean across every removal, and the final quiesce
- * leaves nothing behind. RIO_VIRT_EXTRA_SEEDS appends seeds (CI soak).
+ * leaves nothing behind. RIO_EXTRA_SEEDS appends seeds (CI soak).
  */
 struct VirtFuzzParam
 {
@@ -527,7 +528,7 @@ std::vector<VirtFuzzParam>
 virtFuzzParams()
 {
     std::vector<u64> seeds = {13, 59, 277};
-    appendExtraSeeds(seeds, "RIO_VIRT_EXTRA_SEEDS");
+    appendExtraSeeds(seeds);
     const std::array<virt::Platform, 3> platforms = {
         virt::Platform::kEmulated, virt::Platform::kShadow,
         virt::Platform::kNested};
@@ -689,7 +690,7 @@ INSTANTIATE_TEST_SUITE_P(
  * error), fault-free configs complete error-free, churn configs
  * actually tear down and re-establish QPs, and the leak detector is
  * clean on every machine after quiesce.
- * RIO_CLUSTER_EXTRA_SEEDS appends seeds (the sanitize CI soak).
+ * RIO_EXTRA_SEEDS appends seeds (the sanitize CI soak).
  */
 struct ClusterFuzzParam
 {
@@ -701,7 +702,7 @@ std::vector<ClusterFuzzParam>
 clusterFuzzParams()
 {
     std::vector<u64> seeds = {5, 23, 411};
-    appendExtraSeeds(seeds, "RIO_CLUSTER_EXTRA_SEEDS");
+    appendExtraSeeds(seeds);
     // One radix mode, one magazine mode, one rIOMMU mode — the three
     // translation structures the remote-access path can stress.
     const std::array<dma::ProtectionMode, 3> modes = {
@@ -837,13 +838,13 @@ INSTANTIATE_TEST_SUITE_P(
  * top: CQE conservation survives loss (every post completes, ok or
  * error), the non-deferring modes leave no stale window
  * (late_landed == 0), and quiesce is leak-free on every machine.
- * RIO_WIRE_EXTRA_SEEDS appends seeds (the wire CI soak).
+ * RIO_EXTRA_SEEDS appends seeds (the wire CI soak).
  */
 std::vector<ClusterFuzzParam>
 wireFuzzParams()
 {
     std::vector<u64> seeds = {7, 31, 502};
-    appendExtraSeeds(seeds, "RIO_WIRE_EXTRA_SEEDS");
+    appendExtraSeeds(seeds);
     // One radix mode, one deferring mode (the stale-window side of
     // the late-arrival ledger), one rIOMMU mode.
     const std::array<dma::ProtectionMode, 3> modes = {
@@ -978,14 +979,14 @@ INSTANTIATE_TEST_SUITE_P(
  * forked, or double-applied, whatever the wire did), protected modes
  * land zero post-migration strays, both guest and hypervisor handles
  * quiesce leak-free, and the whole report agrees field for field
- * between threads = 1 and 2. RIO_MIGRATE_EXTRA_SEEDS appends
+ * between threads = 1 and 2. RIO_EXTRA_SEEDS appends
  * seeds (the migration CI soak).
  */
 std::vector<ClusterFuzzParam>
 migrateFuzzParams()
 {
     std::vector<u64> seeds = {11, 47, 1009};
-    appendExtraSeeds(seeds, "RIO_MIGRATE_EXTRA_SEEDS");
+    appendExtraSeeds(seeds);
     const std::array<dma::ProtectionMode, 3> modes = {
         dma::ProtectionMode::kStrict, dma::ProtectionMode::kDeferPlus,
         dma::ProtectionMode::kRiommu};

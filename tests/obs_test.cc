@@ -199,10 +199,13 @@ TEST_F(ObsTest, ConcurrentUpdatesFromManyThreadsLoseNothing)
 TEST_F(ObsTest, EventRingKeepsNewestAndCountsDrops)
 {
     EventRing ring(4);
+    EXPECT_EQ(ring.newest(), nullptr);
     for (u64 i = 1; i <= 6; ++i) {
         Event e;
         e.t = i;
         ring.push(e);
+        ASSERT_NE(ring.newest(), nullptr);
+        EXPECT_EQ(ring.newest()->t, i) << "newest after push " << i;
     }
     EXPECT_EQ(ring.size(), 4u);
     EXPECT_EQ(ring.pushed(), 6u);
@@ -312,6 +315,42 @@ TEST_F(ObsTest, DumpLimitRetainsFirstFewButCountsAll)
         << "the archive honours the recorder's limit too";
     EXPECT_EQ(registry().counter("flight.dumps").value, 5u);
     flightRecorder().setDumpLimit(FlightRecorder::kDefaultDumpLimit);
+}
+
+TEST_F(ObsTest, FlightDumpMarkerCarriesNewestEventAcrossWrap)
+{
+    // Capacity 3 with an event and a marker per step: the ring wraps
+    // at step 2, and step 4's event is the first to land in slot 0
+    // after the wrap.
+    flightRecorder().setCapacity(3);
+    timeline().setRecording(true);
+    for (u16 i = 1; i <= 7; ++i) {
+        Event e;
+        e.kind = Ev::kMap;
+        e.t = 100 * i;
+        e.pid = i;
+        e.tid = 10 + i;
+        timeline().emit(e);
+        const u64 seq = flightDump("wrap");
+
+        const auto tracks = timeline().tracks();
+        const auto it = tracks.find((u32(e.pid) << 16) | e.tid);
+        ASSERT_NE(it, tracks.end()) << "step " << i;
+        ASSERT_EQ(it->second.size(), 2u) << "event + marker, step " << i;
+        const Event &m = it->second.back();
+        EXPECT_EQ(m.kind, Ev::kFlightDump);
+        EXPECT_EQ(m.arg, seq);
+        EXPECT_EQ(m.t, e.t) << "step " << i;
+        EXPECT_EQ(m.pid, e.pid) << "step " << i;
+        EXPECT_EQ(m.tid, e.tid) << "step " << i;
+    }
+    const auto &dumps = flightRecorder().dumps();
+    ASSERT_EQ(dumps.size(), FlightRecorder::kDefaultDumpLimit);
+    for (size_t k = 0; k < dumps.size(); ++k) {
+        EXPECT_EQ(dumps[k].pid, k + 1) << "dump " << k + 1;
+        EXPECT_EQ(dumps[k].tid, k + 11) << "dump " << k + 1;
+    }
+    flightRecorder().setCapacity(FlightRecorder::kDefaultCapacity);
 }
 
 TEST_F(ObsTest, WorkerThreadDumpsReachProcessWideArchive)
