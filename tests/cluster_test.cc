@@ -218,6 +218,105 @@ TEST(Cluster, SlotExhaustionRejects)
     EXPECT_TRUE(cluster.checkLeaks(1).clean());
 }
 
+/** Post admission is the same for every verb: a zero-byte post, a
+ * post over the verb's size ceiling and a post into a full send queue
+ * are refused and each counted once in posts_blocked; every accepted
+ * post completes with exactly one CQE. The payload send carries a
+ * whole page, so its ceiling is 4 KB rather than max_req_bytes. */
+TEST(Cluster, PostAdmissionPerVerb)
+{
+    sys::Cluster cluster(smallConfig(ProtectionMode::kRiommu));
+    cluster.bringUp();
+    auto res = cluster.nic(0).connect(1, nullptr);
+    ASSERT_TRUE(res.isOk());
+    const u32 qp = res.value();
+    cluster.run();
+    ASSERT_EQ(cluster.nic(1).establishedQps(), 1u);
+
+    rdma::RdmaNic &nic = cluster.nic(0);
+    const rdma::RdmaProfile &p = rdma::rnicProfile();
+    const PhysAddr page = cluster.machine(0).ctx().memory().allocContiguous(
+        kPageSize);
+    u64 cqes = 0;
+    nic.setCompletionCallback([&](u32, u32, bool) { ++cqes; });
+
+    enum class Verb { kWrite, kRead, kSend };
+    const auto post = [&](Verb v, u32 bytes) {
+        switch (v) {
+        case Verb::kWrite:
+            return nic.postWrite(qp, bytes);
+        case Verb::kRead:
+            return nic.postRead(qp, bytes);
+        case Verb::kSend:
+            return nic.postMigPage(qp, page, bytes, /*tag=*/0);
+        }
+        return false;
+    };
+    for (Verb v : {Verb::kWrite, Verb::kRead, Verb::kSend}) {
+        SCOPED_TRACE(static_cast<int>(v));
+        const u32 ceiling = v == Verb::kSend ? 4096u : p.max_req_bytes;
+        const auto refused = [&](u32 bytes) {
+            const u64 blocked = nic.stats().posts_blocked;
+            const bool ok = post(v, bytes);
+            return !ok && nic.stats().posts_blocked == blocked + 1;
+        };
+        EXPECT_TRUE(refused(0));
+        EXPECT_TRUE(refused(ceiling + 1));
+
+        const u64 posts0 = nic.stats().posts;
+        const u64 cqes0 = cqes;
+        ASSERT_TRUE(post(v, ceiling));
+        for (u32 i = 1; i < p.sq_depth; ++i)
+            ASSERT_TRUE(post(v, 64));
+        EXPECT_EQ(nic.inflightOps(), p.sq_depth);
+        EXPECT_TRUE(refused(64)); // SQ full
+        cluster.run();
+        EXPECT_EQ(nic.stats().posts - posts0, p.sq_depth);
+        EXPECT_EQ(cqes - cqes0, p.sq_depth);
+        EXPECT_EQ(nic.inflightOps(), 0u);
+    }
+    EXPECT_EQ(nic.stats().completions, nic.stats().posts);
+
+    cluster.quiesce();
+    EXPECT_TRUE(cluster.checkLeaks(0).clean());
+    EXPECT_TRUE(cluster.checkLeaks(1).clean());
+}
+
+/** A payload send to a NIC with no send sink is refused at the target
+ * like a faulting write: an error CQE at the initiator, one remote
+ * fault at the target, and the op's data-ring mapping released. */
+TEST(Cluster, SendWithoutSinkCompletesInError)
+{
+    sys::Cluster cluster(smallConfig(ProtectionMode::kRiommu));
+    cluster.bringUp();
+    auto res = cluster.nic(0).connect(1, nullptr);
+    ASSERT_TRUE(res.isOk());
+    const u32 qp = res.value();
+    cluster.run();
+
+    const PhysAddr page = cluster.machine(0).ctx().memory().allocContiguous(
+        kPageSize);
+    int cqes = 0;
+    bool comp_ok = true;
+    cluster.nic(0).setCompletionCallback([&](u32, u32, bool ok) {
+        ++cqes;
+        comp_ok = ok;
+    });
+    const u64 maps_before = cluster.handle(0).liveMappings();
+    const u64 faults_before = cluster.nic(1).stats().remote_faults;
+    ASSERT_TRUE(cluster.nic(0).postMigPage(qp, page, kPageSize, /*tag=*/7));
+    cluster.run();
+    EXPECT_EQ(cqes, 1);
+    EXPECT_FALSE(comp_ok);
+    EXPECT_EQ(cluster.nic(0).stats().comp_errors, 1u);
+    EXPECT_EQ(cluster.nic(1).stats().remote_faults, faults_before + 1);
+    EXPECT_EQ(cluster.handle(0).liveMappings(), maps_before);
+
+    cluster.quiesce();
+    EXPECT_TRUE(cluster.checkLeaks(0).clean());
+    EXPECT_TRUE(cluster.checkLeaks(1).clean());
+}
+
 /** The hostile-wire headline, pinned deterministically per mode: a
  * delayed duplicate of an already-acked write arrives after its QP
  * was torn down (rings unmapped). The protecting modes must stop it
