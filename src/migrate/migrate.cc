@@ -9,11 +9,19 @@ namespace rio::migrate {
 
 namespace {
 
-/** Tag-type field (bits 32+) of a kMigState chunk; pages use the
- * whole tag for the gfn (type 0). */
+/** Tag-type field (bits 32+) of a stream send. A page's tag is its
+ * gfn (type 0: the arena is under 4 GB); state, commit and resume
+ * carry (type << 32) | index. */
+constexpr u64 kTagPage = 0;
 constexpr u64 kTagState = 1;
 constexpr u64 kTagCommit = 2;
 constexpr u64 kTagResume = 3;
+
+u64
+tagType(u64 tag)
+{
+    return tag >> 32;
+}
 
 /** One serialized ring/device descriptor. */
 constexpr u32 kSmallChunk = 64;
@@ -150,10 +158,10 @@ Migrator::start()
     });
     snic.setQpErrorCallback(
         [this](u32 qp, u32 peer) { onStreamQpError(qp, peer); });
-    snic.setMigSink(
+    snic.setSendSink(
         [this](const rdma::WireMsg &msg) { return onSink(msg); });
     rdma::RdmaNic &dnic = cl_.migNic(cfg_.dst);
-    dnic.setMigSink(
+    dnic.setSendSink(
         [this](const rdma::WireMsg &msg) { return onSink(msg); });
     dnic.setQpErrorCallback([this](u32, u32) {
         // The return path died; a replayed commit will re-arm it.
@@ -215,23 +223,22 @@ Migrator::enqueuePage(u64 gfn)
 {
     if (!shipped_once_.insert(gfn).second)
         ++rep_.pages_reshipped;
-    queue_.push_back({/*state=*/false, gfn,
-                      src_arena_ + gfn * kPageSize,
+    queue_.push_back({gfn, src_arena_ + gfn * kPageSize,
                       static_cast<u32>(kPageSize), 0, chunk_seq_++});
 }
 
 void
 Migrator::enqueueState(u32 idx)
 {
-    queue_.push_back({/*state=*/true, (kTagState << 32) | idx,
-                      src_scratch_, plan_[idx].bytes, 0, chunk_seq_++});
+    queue_.push_back({(kTagState << 32) | idx, src_scratch_,
+                      plan_[idx].bytes, 0, chunk_seq_++});
 }
 
 void
 Migrator::enqueueCommit()
 {
-    queue_.push_back({/*state=*/true, kTagCommit << 32, src_scratch_,
-                      kSmallChunk, 0, chunk_seq_++});
+    queue_.push_back({kTagCommit << 32, src_scratch_, kSmallChunk, 0,
+                      chunk_seq_++});
 }
 
 void
@@ -243,10 +250,7 @@ Migrator::pump()
     while (!queue_.empty()) {
         const Chunk &c = queue_.front();
         const u32 wqe = nic.sqTail(qp_);
-        const bool posted =
-            c.state ? nic.postMigState(qp_, c.pa, c.bytes, c.tag)
-                    : nic.postMigPage(qp_, c.pa, c.bytes, c.tag);
-        if (!posted)
+        if (!nic.postSend(qp_, c.pa, c.bytes, c.tag))
             return; // flow-controlled; the next completion re-pumps
         inflight_.emplace(wqe, c);
         queue_.pop_front();
@@ -261,18 +265,19 @@ Migrator::onStreamCompletion(u32 qp, u32 wqe, bool ok)
         return;
     Chunk c = it->second;
     inflight_.erase(it);
+    const bool page = tagType(c.tag) == kTagPage;
     if (ok) {
-        if (c.state) {
+        if (page) {
+            ++rep_.pages_shipped;
+        } else {
             ++rep_.state_chunks;
             rep_.state_bytes += c.bytes;
-        } else {
-            ++rep_.pages_shipped;
         }
     } else {
         // NAK (target refused the apply) or error-CQE flush: the
         // chunk goes back to the head of the line. Re-applies are
         // idempotent, so replays cannot corrupt the target.
-        if (!c.state)
+        if (page)
             ++rep_.page_naks;
         if (++c.retries > cfg_.retry_cap) {
             fail("chunk retry budget exhausted");
@@ -448,7 +453,7 @@ Migrator::onStreamQpError(u32 qp, u32 peer)
     back.reserve(inflight_.size());
     for (const auto &[wqe, c] : inflight_) {
         (void)wqe;
-        if (!(c.state && (c.tag >> 32) == kTagCommit))
+        if (tagType(c.tag) != kTagCommit)
             back.push_back(c);
     }
     inflight_.clear();
@@ -466,11 +471,10 @@ Migrator::onStreamQpError(u32 qp, u32 peer)
 Status
 Migrator::onSink(const rdma::WireMsg &msg)
 {
-    if (msg.kind == rdma::MsgKind::kMigPage)
-        return applyPage(msg);
-    const u64 type = msg.offset >> 32;
     const u32 idx = static_cast<u32>(msg.offset & 0xffffffffULL);
-    switch (type) {
+    switch (tagType(msg.offset)) {
+    case kTagPage:
+        return applyPage(msg);
     case kTagState:
         if (idx >= plan_.size())
             return Status(ErrorCode::kInvalidArgument,
@@ -561,9 +565,8 @@ Migrator::sendResumeDone()
 {
     if (!resume_pending_ || done_)
         return;
-    if (cl_.migNic(cfg_.dst).postMigState(tgt_qp_, dst_scratch_,
-                                          kSmallChunk,
-                                          kTagResume << 32)) {
+    if (cl_.migNic(cfg_.dst).postSend(tgt_qp_, dst_scratch_, kSmallChunk,
+                                      kTagResume << 32)) {
         resume_pending_ = false;
         return;
     }

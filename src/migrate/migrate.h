@@ -5,14 +5,15 @@
  * its vIOMMU state, and its device attachment — from one
  * sys::Cluster machine to another.
  *
- *  - Pre-copy rounds: round 0 ships every arena page as a kMigPage
- *    message on the source machine's *hypervisor* NIC (the Cluster
- *    migration overlay), so migration traffic translates through the
- *    source IOMMU on the way out, the target IOMMU on the way in,
- *    and contends with guest traffic for the hostile wire and the
- *    destination ingress port. Dirty pages — tracked by a
- *    PhysicalMemory write observer over the arena, which sees guest
- *    CPU stores and device DMA alike — are re-shipped each round.
+ *  - Pre-copy rounds: round 0 ships every arena page as an RDMA
+ *    send, tagged with its gfn, on the source machine's *hypervisor*
+ *    NIC (the Cluster migration overlay), so migration traffic
+ *    translates through the source IOMMU on the way out, the target
+ *    IOMMU on the way in, and contends with guest traffic for the
+ *    hostile wire and the destination ingress port. Dirty pages —
+ *    tracked by a PhysicalMemory write observer over the arena,
+ *    which sees guest CPU stores and device DMA alike — are
+ *    re-shipped each round.
  *  - Convergence: when the dirty set shrinks under a threshold (or a
  *    round cap fires), stop-and-copy begins: the dirtier pauses, the
  *    guest's data-plane NIC is torn down with the journaled
@@ -80,10 +81,10 @@ struct MigrationReport
     bool completed = false;
     bool failed = false;
     u32 rounds = 0;          //!< pre-copy rounds run (round 0 included)
-    u64 pages_shipped = 0;   //!< kMigPage chunks acked
+    u64 pages_shipped = 0;   //!< page sends acked
     u64 pages_reshipped = 0; //!< shipped again after a re-dirty
     u64 page_naks = 0;       //!< page applies the target refused
-    u64 state_chunks = 0;    //!< kMigState chunks acked (commit incl.)
+    u64 state_chunks = 0;    //!< state sends acked (commit incl.)
     u64 state_bytes = 0;     //!< state payload bytes (device chunk incl.)
     u64 mappings_replayed = 0; //!< emulated: vmexit-replayed mappings
     u64 reg_hypercalls = 0;  //!< rIOMMU: per-ring re-registrations
@@ -175,8 +176,7 @@ class Migrator
     /** One unit of work on the migration stream. */
     struct Chunk
     {
-        bool state = false;
-        u64 tag = 0;    //!< gfn (pages) or (type<<32)|idx (state)
+        u64 tag = 0;    //!< gfn (pages) or (type<<32)|idx (the rest)
         PhysAddr pa = 0;
         u32 bytes = 0;
         u32 retries = 0;

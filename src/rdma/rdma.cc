@@ -18,6 +18,27 @@ namespace rio::rdma {
 static_assert(cycles::kNumCats <= obs::kSloMaxCats,
               "OpRecord cat array cannot hold every cycles::Cat");
 
+namespace {
+
+/** One timeline event on @p core's track. */
+void
+emitEvent(const des::Core &core, obs::Ev kind, Nanos t, u64 trace,
+          u64 arg, u64 arg2, u64 dur_ns = 0)
+{
+    obs::Event ev;
+    ev.kind = kind;
+    ev.t = t;
+    ev.dur_ns = dur_ns;
+    ev.trace = trace;
+    ev.arg = arg;
+    ev.arg2 = arg2;
+    ev.pid = core.obsPid();
+    ev.tid = core.obsTid();
+    obs::timeline().emit(ev);
+}
+
+} // namespace
+
 const RdmaProfile &
 rnicProfile()
 {
@@ -92,37 +113,11 @@ RdmaNic::sendAt(u32 dst_nic, Nanos when, WireMsg msg)
         // Wire-transit child span of the op: [send, arrival] on the
         // sender's track (propagation + serialization; hostile-wire
         // extra delay shows up as ingress queueing at the far end).
-        obs::Event ev;
-        ev.kind = obs::Ev::kWireTx;
-        ev.t = when;
-        ev.dur_ns = profile_.wire_ns +
-                    static_cast<Nanos>(static_cast<double>(
-                                           (msg.payload.size() +
-                                            net::kRdmaHeaderBytes) *
-                                           8) /
-                                       profile_.gbps);
-        ev.trace = msg.trace;
-        ev.arg = msg.len;
-        ev.arg2 = msg.psn;
-        ev.pid = core_.obsPid();
-        ev.tid = core_.obsTid();
-        obs::timeline().emit(ev);
+        emitEvent(core_, obs::Ev::kWireTx, when, msg.trace, msg.len,
+                  msg.psn,
+                  wireArrival(0, static_cast<u32>(msg.payload.size())));
     }
     send_(dst_nic, when, std::move(msg));
-}
-
-void
-RdmaNic::emitOpPost(u64 trace, u32 bytes, u32 qp, u32 w)
-{
-    obs::Event ev;
-    ev.kind = obs::Ev::kOpPost;
-    ev.t = core_.virtualNow();
-    ev.trace = trace;
-    ev.arg = bytes;
-    ev.arg2 = (static_cast<u64>(qp) << 32) | w;
-    ev.pid = core_.obsPid();
-    ev.tid = core_.obsTid();
-    obs::timeline().emit(ev);
 }
 
 void
@@ -318,20 +313,18 @@ RdmaNic::onAcceptReject(const WireMsg &msg)
 }
 
 bool
-RdmaNic::postWrite(u32 qp, u32 bytes, u64 roffset)
+RdmaNic::post(u32 qp, Verb verb, PhysAddr src_pa, u32 bytes, u64 roffset)
 {
     Qp &q = qps_[qp];
+    const u32 ceiling =
+        verb == Verb::kSend ? kSendMaxBytes : profile_.max_req_bytes;
+    // The SQ is a ring: under loss, acks (and error flushes) can
+    // settle a young WQE before an older retransmitting one, so a
+    // freed credit does not imply the tail slot drained. Posting over
+    // a live WQE would orphan its op — block instead.
     if (q.state != QpState::kEstablished ||
-        q.inflight >= profile_.sq_depth || bytes == 0 ||
-        bytes > profile_.max_req_bytes) {
-        ++stats_.posts_blocked;
-        return false;
-    }
-    if (q.ops[q.sq_tail].active) {
-        // The SQ is a ring: under loss, acks (and error flushes) can
-        // settle a young WQE before an older retransmitting one, so a
-        // freed credit does not imply the tail slot drained. Posting
-        // over a live WQE would orphan its op — block instead.
+        q.inflight >= profile_.sq_depth || q.ops[q.sq_tail].active ||
+        bytes == 0 || bytes > ceiling) {
         ++stats_.posts_blocked;
         return false;
     }
@@ -344,8 +337,12 @@ RdmaNic::postWrite(u32 qp, u32 bytes, u64 roffset)
     const u64 trace = core_.nextTraceId();
     obs::TraceScope tscope(trace);
     charge(profile_.post_cycles);
-    auto m = handle_.map(dataRid(qp), q.src_pa, bytes,
-                         iommu::DmaDir::kToDevice);
+    // The payload buffer goes into the QP's data ring, so the device
+    // fetch (or, for reads, the landing) translates through OUR IOMMU
+    // and the unmap rides the end-of-burst amortization at the poll.
+    auto m = handle_.map(dataRid(qp), src_pa, bytes,
+                         verb == Verb::kRead ? iommu::DmaDir::kFromDevice
+                                             : iommu::DmaDir::kToDevice);
     if (!m.isOk()) {
         ++stats_.posts_blocked;
         return false;
@@ -354,6 +351,7 @@ RdmaNic::postWrite(u32 qp, u32 bytes, u64 roffset)
     q.sq_tail = (q.sq_tail + 1) % profile_.sq_depth;
     Op op;
     op.active = true;
+    op.verb = verb;
     op.bytes = bytes;
     op.psn = q.next_psn++;
     op.roffset = roffset;
@@ -362,165 +360,30 @@ RdmaNic::postWrite(u32 qp, u32 bytes, u64 roffset)
     op.map = m.value();
     q.ops[w] = op;
     // The WQE the device will fetch: opcode/len in word 0, the DMA
-    // address of the source in word 1.
+    // address of the payload buffer in word 1.
     const PhysAddr wqe = q.sq_pa + static_cast<u64>(w) * kWqeBytes;
-    pm_.write64(wqe, (u64{1} << 32) | bytes);
+    pm_.write64(wqe, (static_cast<u64>(verb) << 32) | bytes);
     pm_.write64(wqe + 8, m.value().device_addr);
     ++q.inflight;
     ++inflight_total_;
     ++stats_.posts;
-    ++stats_.writes_sent;
-    stats_.bytes_sent += bytes;
+    if (verb == Verb::kRead) {
+        ++stats_.reads_sent;
+    } else {
+        stats_.bytes_sent += bytes;
+        if (verb == Verb::kWrite)
+            ++stats_.writes_sent;
+        else
+            stats_.mig_bytes_sent += bytes;
+    }
     if (slo) {
         auto delta = sloSnapshot();
         for (size_t c = 0; c < obs::kSloMaxCats; ++c)
             delta[c] -= cat0[c];
         slo_post_cats_[(static_cast<u64>(qp) << 32) | w] = delta;
     }
-    emitOpPost(trace, bytes, qp, w);
-    sim_.scheduleAt(core_.virtualNow() + profile_.doorbell_ns,
-                    [this, qp, w] { deviceFetchWqe(qp, w); });
-    return true;
-}
-
-bool
-RdmaNic::postRead(u32 qp, u32 bytes, u64 roffset)
-{
-    Qp &q = qps_[qp];
-    if (q.state != QpState::kEstablished ||
-        q.inflight >= profile_.sq_depth || bytes == 0 ||
-        bytes > profile_.max_req_bytes) {
-        ++stats_.posts_blocked;
-        return false;
-    }
-    if (q.ops[q.sq_tail].active) {
-        // Same ring-occupancy guard as postWrite.
-        ++stats_.posts_blocked;
-        return false;
-    }
-    const bool slo = obs::sloRecording();
-    std::array<u64, obs::kSloMaxCats> cat0{};
-    if (slo)
-        cat0 = sloSnapshot();
-    const u64 trace = core_.nextTraceId();
-    obs::TraceScope tscope(trace);
-    charge(profile_.post_cycles);
-    auto m = handle_.map(dataRid(qp), q.rd_pa, bytes,
-                         iommu::DmaDir::kFromDevice);
-    if (!m.isOk()) {
-        ++stats_.posts_blocked;
-        return false;
-    }
-    const u32 w = q.sq_tail;
-    q.sq_tail = (q.sq_tail + 1) % profile_.sq_depth;
-    Op op;
-    op.active = true;
-    op.is_read = true;
-    op.bytes = bytes;
-    op.psn = q.next_psn++;
-    op.roffset = roffset;
-    op.post_ns = core_.virtualNow();
-    op.trace = trace;
-    op.map = m.value();
-    q.ops[w] = op;
-    const PhysAddr wqe = q.sq_pa + static_cast<u64>(w) * kWqeBytes;
-    pm_.write64(wqe, (u64{2} << 32) | bytes);
-    pm_.write64(wqe + 8, m.value().device_addr);
-    ++q.inflight;
-    ++inflight_total_;
-    ++stats_.posts;
-    ++stats_.reads_sent;
-    if (slo) {
-        auto delta = sloSnapshot();
-        for (size_t c = 0; c < obs::kSloMaxCats; ++c)
-            delta[c] -= cat0[c];
-        slo_post_cats_[(static_cast<u64>(qp) << 32) | w] = delta;
-    }
-    emitOpPost(trace, bytes, qp, w);
-    sim_.scheduleAt(core_.virtualNow() + profile_.doorbell_ns,
-                    [this, qp, w] { deviceFetchWqe(qp, w); });
-    return true;
-}
-
-bool
-RdmaNic::postMigPage(u32 qp, PhysAddr src_pa, u32 bytes, u64 gfn)
-{
-    return postMig(qp, src_pa, bytes, gfn, /*state=*/false);
-}
-
-bool
-RdmaNic::postMigState(u32 qp, PhysAddr src_pa, u32 bytes, u64 tag)
-{
-    return postMig(qp, src_pa, bytes, tag, /*state=*/true);
-}
-
-bool
-RdmaNic::postMig(u32 qp, PhysAddr src_pa, u32 bytes, u64 tag,
-                 bool state)
-{
-    // postWrite's twin for the hypervisor's migration stream: the
-    // payload source is an arbitrary physical page (guest RAM or a
-    // serialized-state scratch buffer), mapped per-op into the data
-    // ring so the device fetch translates through the source IOMMU
-    // and the unmap rides the end-of-burst amortization. The chunk
-    // ceiling is a whole page, not max_req_bytes.
-    Qp &q = qps_[qp];
-    if (q.state != QpState::kEstablished ||
-        q.inflight >= profile_.sq_depth || bytes == 0 ||
-        bytes > kMigChunkBytes) {
-        ++stats_.posts_blocked;
-        return false;
-    }
-    if (q.ops[q.sq_tail].active) {
-        // Same ring-occupancy guard as postWrite.
-        ++stats_.posts_blocked;
-        return false;
-    }
-    const bool slo = obs::sloRecording();
-    std::array<u64, obs::kSloMaxCats> cat0{};
-    if (slo)
-        cat0 = sloSnapshot();
-    const u64 trace = core_.nextTraceId();
-    obs::TraceScope tscope(trace);
-    charge(profile_.post_cycles);
-    auto m = handle_.map(dataRid(qp), src_pa, bytes,
-                         iommu::DmaDir::kToDevice);
-    if (!m.isOk()) {
-        ++stats_.posts_blocked;
-        return false;
-    }
-    const u32 w = q.sq_tail;
-    q.sq_tail = (q.sq_tail + 1) % profile_.sq_depth;
-    Op op;
-    op.active = true;
-    op.is_mig = true;
-    op.is_state = state;
-    op.bytes = bytes;
-    op.psn = q.next_psn++;
-    op.roffset = tag;
-    op.post_ns = core_.virtualNow();
-    op.trace = trace;
-    op.map = m.value();
-    q.ops[w] = op;
-    const PhysAddr wqe = q.sq_pa + static_cast<u64>(w) * kWqeBytes;
-    pm_.write64(wqe, (static_cast<u64>(state ? 4 : 3) << 32) | bytes);
-    pm_.write64(wqe + 8, m.value().device_addr);
-    ++q.inflight;
-    ++inflight_total_;
-    ++stats_.posts;
-    if (state)
-        ++stats_.mig_state_sent;
-    else
-        ++stats_.mig_pages_sent;
-    stats_.mig_bytes_sent += bytes;
-    stats_.bytes_sent += bytes;
-    if (slo) {
-        auto delta = sloSnapshot();
-        for (size_t c = 0; c < obs::kSloMaxCats; ++c)
-            delta[c] -= cat0[c];
-        slo_post_cats_[(static_cast<u64>(qp) << 32) | w] = delta;
-    }
-    emitOpPost(trace, bytes, qp, w);
+    emitEvent(core_, obs::Ev::kOpPost, core_.virtualNow(), trace, bytes,
+              (static_cast<u64>(qp) << 32) | w);
     sim_.scheduleAt(core_.virtualNow() + profile_.doorbell_ns,
                     [this, qp, w] { deviceFetchWqe(qp, w); });
     return true;
@@ -540,7 +403,8 @@ RdmaNic::deviceFetchWqe(u32 qp, u32 w)
     // the ORIGINAL trace instead of minting a new one.
     obs::TraceScope tscope(op.trace);
     // Device side: fetch the WQE through our own translation (the
-    // control-ring mapping), then the payload for writes (data ring).
+    // control-ring mapping), then the payload for writes and sends
+    // (data ring).
     u8 wqe_buf[kWqeBytes];
     Status s = handle_.deviceRead(
         q.wqe_map.device_addr + static_cast<u64>(w) * kWqeBytes, wqe_buf,
@@ -559,7 +423,7 @@ RdmaNic::deviceFetchWqe(u32 qp, u32 w)
     msg.offset = op.roffset;
     msg.len = op.bytes;
     msg.trace = op.trace;
-    if (op.is_read) {
+    if (op.verb == Verb::kRead) {
         msg.kind = MsgKind::kRead;
         op.sent = true;
         op.last_tx = sim_.now();
@@ -575,9 +439,7 @@ RdmaNic::deviceFetchWqe(u32 qp, u32 w)
         completeOp(qp, w, false);
         return;
     }
-    msg.kind = op.is_mig ? (op.is_state ? MsgKind::kMigState
-                                        : MsgKind::kMigPage)
-                         : MsgKind::kWrite;
+    msg.kind = op.verb == Verb::kSend ? MsgKind::kSend : MsgKind::kWrite;
     op.sent = true;
     op.last_tx = sim_.now();
     sendAt(q.peer_nic, wireArrival(sim_.now(), op.bytes),
@@ -588,7 +450,7 @@ RdmaNic::deviceFetchWqe(u32 qp, u32 w)
 void
 RdmaNic::onDataAccess(const WireMsg &msg)
 {
-    // Target side of an RDMA write/read: pure device work — the
+    // Target side of a write, read or send: pure device work — the
     // access translates through OUR handle, costing zero local driver
     // cycles. This is the VA-RDMA property under test.
     WireMsg reply;
@@ -637,91 +499,61 @@ RdmaNic::onDataAccess(const WireMsg &msg)
             return;
         } else {
             // Duplicate (retransmit overlap or wire dup). Writes and
-            // reads are idempotent, so hardware replays the DMA and
-            // re-acknowledges under the duplicate's own PSN.
+            // reads are idempotent (and sinks must be), so hardware
+            // replays the access and re-acknowledges under the
+            // duplicate's own PSN.
             ++stats_.dup_requests;
         }
+    }
+    Status s;
+    switch (msg.kind) {
+    case MsgKind::kWrite:
+        ++stats_.remote_writes;
+        s = handle_.deviceWrite(msg.rkey + msg.offset, msg.payload.data(),
+                                msg.len);
+        break;
+    case MsgKind::kSend:
+        // The sink applies the payload (e.g. a page into guest RAM
+        // through THIS machine's IOMMU). A send that outlived its
+        // stream, or arrived where nobody listens, NAKs.
+        s = send_sink_ ? send_sink_(msg)
+                       : Status(ErrorCode::kInvalidArgument,
+                                "no send sink");
+        break;
+    default: // kRead
+        ++stats_.remote_reads;
+        reply.payload.resize(msg.len);
+        s = handle_.deviceRead(msg.rkey + msg.offset, reply.payload.data(),
+                               msg.len);
+        break;
+    }
+    if (late) {
+        const bool landed = s.isOk();
+        ++(landed ? stats_.late_landed : stats_.late_faulted);
+        if (migrated_away_)
+            ++(landed ? stats_.migrated_away_landed
+                      : stats_.migrated_away_faulted);
     }
     // Target-IOMMU walk instant: the moment the remote access
     // translated (or faulted) on THIS machine's track, stitched into
     // the initiator's op by the carried trace id.
-    const auto walkEvent = [&](bool ok) {
-        if (!msg.trace)
-            return;
-        obs::Event ev;
-        ev.kind = obs::Ev::kTargetWalk;
-        ev.t = sim_.now();
-        ev.trace = msg.trace;
-        ev.arg = msg.len;
-        ev.arg2 = (static_cast<u64>(late) << 1) | (ok ? 1 : 0);
-        ev.pid = core_.obsPid();
-        ev.tid = core_.obsTid();
-        obs::timeline().emit(ev);
-    };
-    if (msg.kind != MsgKind::kRead) {
-        Status s;
-        if (msg.kind == MsgKind::kWrite) {
-            ++stats_.remote_writes;
-            s = handle_.deviceWrite(msg.rkey + msg.offset,
-                                    msg.payload.data(), msg.len);
-        } else {
-            // Migration chunk: the hypervisor sink applies it (a page
-            // into guest RAM through THIS machine's IOMMU, or a state
-            // blob). A chunk that outlived its stream — or arrived
-            // where no migration is in progress — NAKs.
-            s = mig_sink_ ? mig_sink_(msg)
-                          : Status(ErrorCode::kInvalidArgument,
-                                   "no migration sink");
-            if (s.isOk())
-                ++stats_.mig_applied;
-            else
-                ++stats_.mig_apply_faults;
-        }
-        if (late) {
-            if (s.isOk()) {
-                ++stats_.late_landed;
-                if (migrated_away_)
-                    ++stats_.migrated_away_landed;
-            } else {
-                ++stats_.late_faulted;
-                if (migrated_away_)
-                    ++stats_.migrated_away_faulted;
-            }
-        }
-        walkEvent(s.isOk());
-        reply.ok = s.isOk();
-        if (!reply.ok)
-            ++stats_.remote_faults;
-        reply.kind = reply.ok ? MsgKind::kAck : MsgKind::kNak;
-        sendAt(msg.src_nic, wireArrival(sim_.now(), 0),
-               std::move(reply));
-        return;
-    }
-    ++stats_.remote_reads;
-    reply.payload.resize(msg.len);
-    Status s = handle_.deviceRead(msg.rkey + msg.offset,
-                                  reply.payload.data(), msg.len);
-    if (late) {
-        if (s.isOk()) {
-            ++stats_.late_landed;
-            if (migrated_away_)
-                ++stats_.migrated_away_landed;
-        } else {
-            ++stats_.late_faulted;
-            if (migrated_away_)
-                ++stats_.migrated_away_faulted;
-        }
-    }
-    walkEvent(s.isOk());
+    if (msg.trace)
+        emitEvent(core_, obs::Ev::kTargetWalk, sim_.now(), msg.trace,
+                  msg.len, (static_cast<u64>(late) << 1) | (s.isOk() ? 1 : 0));
     reply.ok = s.isOk();
     if (!reply.ok) {
         ++stats_.remote_faults;
         reply.payload.clear();
     }
-    reply.kind = MsgKind::kReadResp;
-    reply.len = msg.len;
-    sendAt(msg.src_nic, wireArrival(sim_.now(), reply.ok ? msg.len : 0),
-           std::move(reply));
+    if (msg.kind == MsgKind::kRead) {
+        reply.kind = MsgKind::kReadResp;
+        reply.len = msg.len;
+    } else {
+        reply.kind = reply.ok ? MsgKind::kAck : MsgKind::kNak;
+    }
+    const Nanos arrival =
+        wireArrival(sim_.now(), static_cast<u32>(reply.payload.size()));
+    sendAt(msg.src_nic, arrival, std::move(reply));
 }
 
 void
@@ -856,17 +688,9 @@ RdmaNic::pollCq()
             }
             slo_recorder_.record(rec);
         }
-        if (trace) {
-            obs::Event ev;
-            ev.kind = obs::Ev::kOpCqe;
-            ev.t = core_.virtualNow();
-            ev.trace = trace;
-            ev.arg = latency;
-            ev.arg2 = (static_cast<u64>(rtx) << 1) | (c.ok ? 1 : 0);
-            ev.pid = core_.obsPid();
-            ev.tid = core_.obsTid();
-            obs::timeline().emit(ev);
-        }
+        if (trace)
+            emitEvent(core_, obs::Ev::kOpCqe, core_.virtualNow(), trace,
+                      latency, (static_cast<u64>(rtx) << 1) | (c.ok ? 1 : 0));
         if (on_completion_)
             on_completion_(c.qp, c.wqe, c.ok);
         if ((q.state == QpState::kClosing ||
@@ -982,19 +806,11 @@ RdmaNic::retransmit(u32 qp)
         Op &op = q.ops[w];
         ++op.rtx;
         ++stats_.retransmits;
-        if (op.trace) {
-            // Retransmit episode: a child instant of the ORIGINAL
-            // trace — the replay must not mint a new identity.
-            obs::Event ev;
-            ev.kind = obs::Ev::kRetransmit;
-            ev.t = sim_.now();
-            ev.trace = op.trace;
-            ev.arg = psn;
-            ev.arg2 = op.rtx;
-            ev.pid = core_.obsPid();
-            ev.tid = core_.obsTid();
-            obs::timeline().emit(ev);
-        }
+        // Retransmit episode: a child instant of the ORIGINAL trace —
+        // the replay must not mint a new identity.
+        if (op.trace)
+            emitEvent(core_, obs::Ev::kRetransmit, sim_.now(), op.trace,
+                      psn, op.rtx);
         deviceFetchWqe(qp, w);
     }
 }
@@ -1028,12 +844,7 @@ RdmaNic::enterError(u32 qp, const char *reason, bool notify_peer)
     q.state = QpState::kError;
     ++stats_.qp_errors;
     obs::registry().counter("rdma.qp_errors", {}).inc();
-    obs::Event ev;
-    ev.kind = obs::Ev::kQpError;
-    ev.arg = qp;
-    ev.pid = core_.obsPid();
-    ev.tid = core_.obsTid();
-    obs::timeline().emit(ev);
+    emitEvent(core_, obs::Ev::kQpError, sim_.now(), /*trace=*/0, qp, 0);
     // Journal the last 256 events around the transition — the
     // wire-storm debugging trigger (free when rate-limited away).
     obs::flightDump(strprintf("rdma_qp_error nic=%u qp=%u peer=%u: %s",
@@ -1220,8 +1031,7 @@ RdmaNic::fromWire(const WireMsg &msg)
         return;
     case MsgKind::kWrite:
     case MsgKind::kRead:
-    case MsgKind::kMigPage:
-    case MsgKind::kMigState:
+    case MsgKind::kSend:
         onDataAccess(msg);
         return;
     case MsgKind::kAck:

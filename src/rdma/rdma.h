@@ -8,6 +8,16 @@
  * multiplies ring count by connection count and stresses the rDEVICE
  * table far beyond the paper's single-NIC setup.
  *
+ * Every op is one work request (WQE) on the QP's send queue, and one
+ * post path serves all three verbs; they differ only in direction:
+ *   write — the QP's source buffer into the peer MR at an offset;
+ *   read  — the peer MR at an offset into the QP's read buffer;
+ *   send  — any local page (up to kSendMaxBytes) to the peer's send
+ *           sink, with an opaque 64-bit tag the sink interprets.
+ * The NIC knows nothing of what a send carries: live migration, for
+ * one, rides sends and keeps its page/state/commit/resume protocol in
+ * the tag (see migrate::Migrator).
+ *
  * rRING layout under the rIOMMU modes (ignored by baseline modes):
  *   rid 0            — static ring: the completion queue mapping
  *   rid 1 + 2q       — QP q control ring: WQE-ring + MR mappings,
@@ -73,10 +83,10 @@ const RdmaProfile &rnicProfile();
 inline constexpr u32 kWqeBytes = 32;
 inline constexpr u32 kCqeBytes = 16;
 
-/** Migration chunk ceiling: one guest page. Mig posts are exempt
- * from RdmaProfile::max_req_bytes (the NIC segments large requests
+/** Send ceiling: one page. Sends are exempt from
+ * RdmaProfile::max_req_bytes (the NIC segments large requests
  * internally; modeled as one wire message) but never exceed this. */
-inline constexpr u32 kMigChunkBytes = 4096;
+inline constexpr u32 kSendMaxBytes = 4096;
 
 /** rRING id helpers (see file header). */
 inline u16 ctrlRid(u32 qp) { return static_cast<u16>(1 + 2 * qp); }
@@ -99,8 +109,7 @@ enum class MsgKind : u8 {
     kClose,       //!< orderly teardown
     kCloseAck,
     kQpError,     //!< async peer notification of a QP error
-    kMigPage,     //!< live-migration page: payload into the target sink
-    kMigState     //!< live-migration vIOMMU/device state chunk
+    kSend         //!< tagged payload into the target's send sink
 };
 
 struct WireMsg
@@ -113,7 +122,7 @@ struct WireMsg
     u32 wqe = 0;    //!< initiator op slot, echoed in replies
     u32 psn = 0;    //!< packet sequence number (reliability layer)
     u64 rkey = 0;   //!< MR device address (handshake / data target)
-    u64 offset = 0; //!< byte offset into the target MR
+    u64 offset = 0; //!< byte offset into the target MR; kSend: the tag
     u32 len = 0;
     bool ok = true;
     /** Distributed-trace identity of the op this packet serves (0 for
@@ -188,13 +197,10 @@ struct RdmaStats
     u64 late_faulted = 0;
     u64 late_landed = 0;
 
-    // Migration stream (zero unless a Migrator drives this NIC).
-    u64 mig_pages_sent = 0;  //!< kMigPage ops posted (requester)
-    u64 mig_state_sent = 0;  //!< kMigState ops posted (requester)
-    u64 mig_bytes_sent = 0;  //!< payload bytes across both kinds
-    u64 mig_applied = 0;     //!< sink applies that succeeded (target)
-    u64 mig_apply_faults = 0; //!< sink applies the target IOMMU refused
-    /** The "migrated-away" tier of the late-arrival ledger: data
+    /** Payload bytes of the sends posted (requester side; also in
+     * bytes_sent). Only the migration stream sends, hence the name. */
+    u64 mig_bytes_sent = 0;
+    /** The post-migration tier of the late-arrival ledger: data
      * packets that reached this NIC after its guest was migrated
      * off the machine. Like late_*, faulted means the source IOMMU
      * (or the detached handle) stopped the stray; landed means it
@@ -224,11 +230,11 @@ class RdmaNic
     /** void(qp, peer_nic): a QP finished its error drain and was
      * freed; the driver decides reconnect vs abandon. */
     using QpErrorCb = std::function<void(u32, u32)>;
-    /** Status(msg): target-side apply of one kMigPage / kMigState
-     * chunk (the live-migration sink). Must be idempotent — under
-     * loss the go-back-N layer replays chunks, and wire duplicates
+    /** Status(msg): target-side apply of one kSend (payload + tag in
+     * msg.offset); an error NAKs the send. Must be idempotent — under
+     * loss the go-back-N layer replays sends, and wire duplicates
      * re-deliver them. */
-    using MigSinkFn = std::function<Status(const WireMsg &)>;
+    using SendSinkFn = std::function<Status(const WireMsg &)>;
 
     RdmaNic(des::Simulator &sim, des::Core &core,
             mem::PhysicalMemory &pm, dma::DmaHandle &handle,
@@ -240,7 +246,8 @@ class RdmaNic
     void setSendFn(SendFn fn) { send_ = std::move(fn); }
     void setCompletionCallback(CompletionCb cb) { on_completion_ = std::move(cb); }
     void setQpErrorCallback(QpErrorCb cb) { on_qp_error_ = std::move(cb); }
-    void setMigSink(MigSinkFn fn) { mig_sink_ = std::move(fn); }
+    /** Receiver of incoming sends; without one every send NAKs. */
+    void setSendSink(SendSinkFn fn) { send_sink_ = std::move(fn); }
 
     /**
      * Mark the guest this NIC served as migrated off the machine:
@@ -271,30 +278,32 @@ class RdmaNic
 
     /**
      * Post an RDMA write of @p bytes from the QP's source buffer into
-     * the peer MR at @p roffset. False = flow-controlled (window or
-     * data ring full) or QP not writable; the caller retries after a
-     * completion.
+     * the peer MR at @p roffset. False = refused and counted in
+     * posts_blocked: QP not established, send queue full, size 0 or
+     * over max_req_bytes, or the data-ring map failed; the caller
+     * retries after a completion. Every accepted post ends in one CQE.
      */
-    bool postWrite(u32 qp, u32 bytes, u64 roffset = 0);
+    bool postWrite(u32 qp, u32 bytes, u64 roffset = 0)
+    {
+        return post(qp, Verb::kWrite, qps_[qp].src_pa, bytes, roffset);
+    }
 
     /** Post an RDMA read of @p bytes from the peer MR at @p roffset
-     * into the QP's read buffer. */
-    bool postRead(u32 qp, u32 bytes, u64 roffset = 0);
+     * into the QP's read buffer. Same contract as postWrite. */
+    bool postRead(u32 qp, u32 bytes, u64 roffset = 0)
+    {
+        return post(qp, Verb::kRead, qps_[qp].rd_pa, bytes, roffset);
+    }
 
-    /**
-     * Post one live-migration page: @p bytes from local physical
-     * @p src_pa (mapped into the QP's data ring, so the fetch
-     * translates through OUR IOMMU) toward the peer's migration
-     * sink, tagged with @p gfn. Rides the same PSN window as writes —
-     * exempt from max_req_bytes (pages are 4 KB; the NIC segments
-     * internally, modeled as one request). Same false-means-retry
-     * contract as postWrite.
-     */
-    bool postMigPage(u32 qp, PhysAddr src_pa, u32 bytes, u64 gfn);
-
-    /** Post one vIOMMU/device state chunk (blackout phase): same
-     * mechanics as postMigPage, delivered as kMigState with @p tag. */
-    bool postMigState(u32 qp, PhysAddr src_pa, u32 bytes, u64 tag);
+    /** Post a send of @p bytes (up to kSendMaxBytes) from local
+     * physical @p src_pa to the peer's send sink, carrying @p tag.
+     * The page is mapped into the QP's data ring like a write source,
+     * so the fetch translates through OUR IOMMU. Same contract as
+     * postWrite. */
+    bool postSend(u32 qp, PhysAddr src_pa, u32 bytes, u64 tag)
+    {
+        return post(qp, Verb::kSend, src_pa, bytes, tag);
+    }
 
     /** Orderly close (drains in-flight ops first). */
     Status teardown(u32 qp, ClosedCb cb);
@@ -359,17 +368,18 @@ class RdmaNic
         kError      //!< retry budget blown; flushing error CQEs
     };
 
+    /** The op's direction; the value is the WQE opcode. */
+    enum class Verb : u8 { kWrite = 1, kRead = 2, kSend = 3 };
+
     struct Op
     {
         bool active = false;
-        bool is_read = false;
-        bool is_mig = false;   //!< kMigPage/kMigState op
-        bool is_state = false; //!< kMigState (valid when is_mig)
+        Verb verb = Verb::kWrite;
         bool sent = false;  //!< device fetched + transmitted at least once
         bool acked = false; //!< CQE generated; awaiting poll, not retx
         u32 bytes = 0;
         u32 psn = 0;       //!< sequence number (reliability layer)
-        u64 roffset = 0;
+        u64 roffset = 0;   //!< peer MR offset (write/read) or tag (send)
         Nanos post_ns = 0; //!< verbs post time (latency record)
         Nanos last_tx = 0; //!< most recent transmission (RTO base)
         u64 trace = 0;     //!< distributed-trace id (observability)
@@ -420,16 +430,14 @@ class RdmaNic
     Status registerQp(u32 idx);
     void unregisterQp(u32 idx);
     void freeQp(u32 idx);
-    /** Shared body of postMigPage/postMigState. */
-    bool postMig(u32 qp, PhysAddr src_pa, u32 bytes, u64 tag,
-                 bool state);
+    /** The one post path: admit, map @p src_pa into the data ring,
+     * write the WQE and ring the doorbell. */
+    bool post(u32 qp, Verb verb, PhysAddr src_pa, u32 bytes, u64 roffset);
     void deviceFetchWqe(u32 qp, u32 wqe);
     void completeOp(u32 qp, u32 wqe, bool ok);
     void pollCq();
     void finishClose(u32 qp);
     void sendAt(u32 dst_nic, Nanos when, WireMsg msg);
-    /** Timeline event for a posted WQE. */
-    void emitOpPost(u64 trace, u32 bytes, u32 qp, u32 w);
     Nanos wireArrival(Nanos from, u32 payload_bytes) const;
 
     // Reliability layer (device-side; no-ops while rel_ is off).
@@ -461,7 +469,7 @@ class RdmaNic
     SendFn send_;
     CompletionCb on_completion_;
     QpErrorCb on_qp_error_;
-    MigSinkFn mig_sink_;
+    SendSinkFn send_sink_;
     bool migrated_away_ = false;
     ReliabilityConfig rel_;
 

@@ -33,8 +33,7 @@ WirePort::isDataPlane(rdma::MsgKind kind)
     case rdma::MsgKind::kAck:
     case rdma::MsgKind::kNak:
     case rdma::MsgKind::kNakSeq:
-    case rdma::MsgKind::kMigPage:
-    case rdma::MsgKind::kMigState:
+    case rdma::MsgKind::kSend:
         return true;
     case rdma::MsgKind::kConnect:
     case rdma::MsgKind::kAccept:

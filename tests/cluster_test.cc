@@ -248,7 +248,7 @@ TEST(Cluster, PostAdmissionPerVerb)
         case Verb::kRead:
             return nic.postRead(qp, bytes);
         case Verb::kSend:
-            return nic.postMigPage(qp, page, bytes, /*tag=*/0);
+            return nic.postSend(qp, page, bytes, /*tag=*/0);
         }
         return false;
     };
@@ -304,7 +304,7 @@ TEST(Cluster, SendWithoutSinkCompletesInError)
     });
     const u64 maps_before = cluster.handle(0).liveMappings();
     const u64 faults_before = cluster.nic(1).stats().remote_faults;
-    ASSERT_TRUE(cluster.nic(0).postMigPage(qp, page, kPageSize, /*tag=*/7));
+    ASSERT_TRUE(cluster.nic(0).postSend(qp, page, kPageSize, /*tag=*/7));
     cluster.run();
     EXPECT_EQ(cqes, 1);
     EXPECT_FALSE(comp_ok);
