@@ -111,19 +111,19 @@ perOp(u64 count, const workloads::FleetReport &rep)
 int
 main(int argc, char **argv)
 {
-    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
     bool quick = false;
     u32 max_connections = 0;
     unsigned machines = 2;
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg(argv[i]);
-        if (arg == "--quick")
-            quick = true;
-        else if (arg == "--connections")
-            max_connections = bench::flagValue<u32>(argc, argv, i, 2);
-        else if (arg == "--machines")
-            machines = bench::flagValue(argc, argv, i, 2u);
-    }
+    const bench::BenchArgs args = bench::parseBenchArgs(
+        argc, argv,
+        {{"--quick", [&](int &) { quick = true; }},
+         {"--connections",
+          [&](int &i) {
+              max_connections = bench::flagValue<u32>(argc, argv, i, 2);
+          }},
+         {"--machines", [&](int &i) {
+              machines = bench::flagValue(argc, argv, i, 2u);
+          }}});
     if (max_connections == 0)
         max_connections = quick ? 256 : 16384;
 

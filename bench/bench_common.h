@@ -12,6 +12,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <initializer_list>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -168,31 +170,57 @@ flagList(int argc, char **argv, int &i, T lo,
     return flagNumbers<T>(argc, argv, i, lo, hi, true);
 }
 
+/** One bench-specific flag: its name, and the handler that reads it
+ * at argv[i] (a value with the flag helpers above, advancing i). */
+struct BenchFlag
+{
+    const char *name;
+    std::function<void(int &i)> parse;
+};
+
 /**
- * Parse the uniform bench arguments (bench-specific flags like
- * --cores are parsed by the bench itself, with the flag helpers above,
- * and ignored here). Passing --timeline turns the event timeline's
+ * Parse a bench's arguments: the uniform ones of BenchArgs plus the
+ * bench's own @p flags, in argv order. Any other argument prints a
+ * usage line naming it and exits 2, so a misspelt flag never runs the
+ * default sweep. Passing --timeline turns the event timeline's
  * recording gate on for the whole run; pair with finishBench() to
  * write the trace at exit.
  * --slo flips the obs::sloRecording() gate for the whole run.
  */
 inline BenchArgs
-parseBenchArgs(int argc, char **argv)
+parseBenchArgs(int argc, char **argv,
+               std::initializer_list<BenchFlag> flags = {})
 {
     benchStartTime(); // anchor host_ms at startup
     BenchArgs args;
     for (int i = 1; i < argc; ++i) {
         const std::string_view arg(argv[i]);
-        if (arg == "--json")
+        if (arg == "--json") {
             args.json_path = flagText(argc, argv, i);
-        else if (arg == "--timeline")
+        } else if (arg == "--timeline") {
             args.timeline_path = flagText(argc, argv, i);
-        else if (arg == "--threads")
+        } else if (arg == "--threads") {
             args.threads = flagValue(argc, argv, i, 1u);
-        else if (arg == "--timeline-cap")
+        } else if (arg == "--timeline-cap") {
             args.timeline_cap = flagValue<size_t>(argc, argv, i, 1);
-        else if (arg == "--slo")
+        } else if (arg == "--slo") {
             args.slo = true;
+        } else {
+            const auto own =
+                std::find_if(flags.begin(), flags.end(),
+                             [&](const BenchFlag &f) { return arg == f.name; });
+            if (own == flags.end()) {
+                std::string known =
+                    "--json, --timeline, --threads, --timeline-cap, --slo";
+                for (const BenchFlag &f : flags)
+                    known += strprintf(", %s", f.name);
+                std::fprintf(stderr, "usage: %s: unknown argument %s "
+                                     "(flags: %s)\n",
+                             argv[0], argv[i], known.c_str());
+                std::exit(2);
+            }
+            own->parse(i);
+        }
     }
     if (args.timeline_cap)
         obs::timeline().setCapacity(args.timeline_cap);

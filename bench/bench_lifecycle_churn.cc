@@ -42,19 +42,20 @@ struct Row
 int
 main(int argc, char **argv)
 {
-    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
     std::vector<double> rates = {0, 0.5, 2};
     u64 churn_seed = 1;
     Nanos down_ns = 20000;
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg(argv[i]);
-        if (arg == "--rate")
-            rates = bench::flagList(argc, argv, i, 0.0);
-        else if (arg == "--seed")
-            churn_seed = bench::flagValue<u64>(argc, argv, i, 0);
-        else if (arg == "--down")
-            down_ns = bench::flagValue<Nanos>(argc, argv, i, 1);
-    }
+    const bench::BenchArgs args = bench::parseBenchArgs(
+        argc, argv,
+        {{"--rate",
+          [&](int &i) { rates = bench::flagList(argc, argv, i, 0.0); }},
+         {"--seed",
+          [&](int &i) {
+              churn_seed = bench::flagValue<u64>(argc, argv, i, 0);
+          }},
+         {"--down", [&](int &i) {
+              down_ns = bench::flagValue<Nanos>(argc, argv, i, 1);
+          }}});
 
     bench::printHeader("Lifecycle churn: cycles/packet vs surprise "
                        "unplug/replug rate, Netperf stream on mlx");

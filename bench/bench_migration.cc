@@ -352,19 +352,17 @@ pctNs(std::vector<u64> v, double q)
 int
 main(int argc, char **argv)
 {
-    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
     bool quick = bench::runScale() < 1.0;
     double loss = -1.0;
     u64 pages_override = 0;
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg(argv[i]);
-        if (arg == "--quick")
-            quick = true;
-        else if (arg == "--loss")
-            loss = bench::flagValue(argc, argv, i, 0.0, 1.0);
-        else if (arg == "--pages")
-            pages_override = bench::flagValue<u64>(argc, argv, i, 64);
-    }
+    const bench::BenchArgs args = bench::parseBenchArgs(
+        argc, argv,
+        {{"--quick", [&](int &) { quick = true; }},
+         {"--loss",
+          [&](int &i) { loss = bench::flagValue(argc, argv, i, 0.0, 1.0); }},
+         {"--pages", [&](int &i) {
+              pages_override = bench::flagValue<u64>(argc, argv, i, 64);
+          }}});
     if (loss == 0.0)
         return runCompat(args, quick);
 

@@ -23,14 +23,13 @@ using namespace rio;
 int
 main(int argc, char **argv)
 {
-    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
-
     // `--cores 1,2,4` overrides the default sweep (the golden-output
     // regression test pins {1,2} for a fast deterministic run).
     std::vector<unsigned> core_counts = {1, 2, 4, 8};
-    for (int i = 1; i < argc; ++i)
-        if (std::string_view(argv[i]) == "--cores")
-            core_counts = bench::flagList(argc, argv, i, 1u);
+    const bench::BenchArgs args = bench::parseBenchArgs(
+        argc, argv, {{"--cores", [&](int &i) {
+                          core_counts = bench::flagList(argc, argv, i, 1u);
+                      }}});
 
     bench::printHeader(
         "Scaling: cycles/packet vs core count, Netperf stream x K "

@@ -77,11 +77,9 @@ runConfig(unsigned threads, const workloads::StreamParams &params)
 int
 main(int argc, char **argv)
 {
-    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
     bool quick = false;
-    for (int i = 1; i < argc; ++i)
-        if (std::string_view(argv[i]) == "--quick")
-            quick = true;
+    const bench::BenchArgs args = bench::parseBenchArgs(
+        argc, argv, {{"--quick", [&](int &) { quick = true; }}});
 
     workloads::StreamParams params =
         workloads::streamParamsFor(nic::mlxProfile());

@@ -114,19 +114,17 @@ runPoint(dma::ProtectionMode mode, double loss, bool incast,
 int
 main(int argc, char **argv)
 {
-    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+    bool quick = false;
+    unsigned machines = 3;
+    const bench::BenchArgs args = bench::parseBenchArgs(
+        argc, argv,
+        {{"--quick", [&](int &) { quick = true; }},
+         {"--machines", [&](int &i) {
+              machines = bench::flagValue(argc, argv, i, 2u);
+          }}});
     // Exact per-op records are this bench's entire point: recording is
     // forced on, `--slo` is accepted for uniformity with other benches.
     obs::setSloRecording(true);
-    bool quick = false;
-    unsigned machines = 3;
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg(argv[i]);
-        if (arg == "--quick")
-            quick = true;
-        else if (arg == "--machines")
-            machines = bench::flagValue(argc, argv, i, 2u);
-    }
 
     const std::vector<double> losses =
         quick ? std::vector<double>{0.0, 0.02}

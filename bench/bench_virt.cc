@@ -174,15 +174,13 @@ runHugeAblation(const bench::BenchArgs &args)
 int
 main(int argc, char **argv)
 {
-    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
     std::string which = "all";
     bool huge = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::string_view(argv[i]) == "--platform")
-            which = bench::flagText(argc, argv, i);
-        if (std::string_view(argv[i]) == "--huge")
-            huge = true;
-    }
+    const bench::BenchArgs args = bench::parseBenchArgs(
+        argc, argv,
+        {{"--platform",
+          [&](int &i) { which = bench::flagText(argc, argv, i); }},
+         {"--huge", [&](int &) { huge = true; }}});
 
     if (huge)
         return runHugeAblation(args);

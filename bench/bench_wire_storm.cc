@@ -202,19 +202,17 @@ runCompat(const bench::BenchArgs &args, unsigned machines, bool quick)
 int
 main(int argc, char **argv)
 {
-    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
     bool quick = false;
     double loss = -1.0;
     unsigned machines = 3;
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg(argv[i]);
-        if (arg == "--quick")
-            quick = true;
-        else if (arg == "--loss")
-            loss = bench::flagValue(argc, argv, i, 0.0, 1.0);
-        else if (arg == "--machines")
-            machines = bench::flagValue(argc, argv, i, 2u);
-    }
+    const bench::BenchArgs args = bench::parseBenchArgs(
+        argc, argv,
+        {{"--quick", [&](int &) { quick = true; }},
+         {"--loss",
+          [&](int &i) { loss = bench::flagValue(argc, argv, i, 0.0, 1.0); }},
+         {"--machines", [&](int &i) {
+              machines = bench::flagValue(argc, argv, i, 2u);
+          }}});
 
     if (loss == 0.0)
         return runCompat(args, /*machines=*/2, quick);

@@ -153,6 +153,12 @@ ROWS = {
                               usage="--loss"),
     "lifecycle_seed_bad_args": Row("bench_lifecycle_churn",
                                    ["--seed", "-1"], usage="--seed"),
+    # A misspelt flag is refused, not skipped into the default sweep.
+    "bench_unknown_flag_bad_args": Row(FIG7, ["--jsno", "out.json"],
+                                       usage="--jsno"),
+    "cluster_unknown_flag_bad_args": Row("bench_cluster_rdma",
+                                         ["--conections", "4"],
+                                         usage="--conections"),
     # The comparator fails on a one-digit change, passes on `norm`.
     "check_selftest": Row(None, [], golden="fig7_quick.json"),
 }
