@@ -25,194 +25,45 @@
  *  - Guest RAM is byte-identical on the target (FNV-1a arena hash),
  *    at every dirty rate and loss rate, QP errors included.
  *
- * `--loss 0` emits compat rows instead: the exact bench_cluster_rdma
- * base rows on a migration-*disabled* cluster — the golden_migrate
- * ctest diffs them against the checked-in cluster golden to prove the
- * whole migration subsystem is bit-for-bit inert when off.
+ * Every run goes through workloads::runMigration; `--loss 0` is an
+ * ordinary loss value for the hostile-wire rows (an unarmed wire).
+ * `--pages` has a floor of 2048: below it the per-platform and
+ * memory-scaling claims above stop holding for the baseline.
  */
 #include "bench_common.h"
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "base/logging.h"
-#include "migrate/migrate.h"
-#include "sys/cluster.h"
-#include "virt/guest.h"
 #include "virt/platform.h"
-#include "workloads/fleet.h"
+#include "workloads/migration.h"
 
 using namespace rio;
 
 namespace {
 
-/** Stray peer: machine 1 keeps posting RDMA writes at the guest's
- * old QP on machine 0, before and after the migration — the source
- * of migrated-away arrivals. Fixed gap, zero RNG draws. The gap is
- * sized so even the most trap-expensive platform x mode combination
- * (shadow/strict: wp-trap sync plus synchronous invalidation per op)
- * stays under the posting core's capacity — the stray peer is
- * background noise, not a core-saturating storm whose queueing delay
- * would masquerade as blackout time. */
-constexpr Nanos kStrayGapNs = 8000;
-constexpr u32 kStrayBytes = 512;
+using workloads::MigrationParams;
+using workloads::MigrationResult;
 
-struct Stray
+/** One audited migration: it must complete with byte-identical guest
+ * RAM and quiesce leak-free. */
+MigrationResult
+audited(const MigrationParams &r)
 {
-    sys::Cluster *cl = nullptr;
-    u32 qp = 0;
-    u64 remaining = 0;
-    bool connected = false;
-};
-
-void
-strayTick(const std::shared_ptr<Stray> &s)
-{
-    if (s->remaining == 0)
-        return;
-    --s->remaining;
-    if (s->connected)
-        (void)s->cl->nic(1).postWrite(s->qp, kStrayBytes, 0);
-    s->cl->lane(1).sim().scheduleAfter(kStrayGapNs,
-                                       [s] { strayTick(s); });
-}
-
-/** One migration experiment. */
-struct MigRun
-{
-    dma::ProtectionMode mode = dma::ProtectionMode::kRiommu;
-    virt::Platform platform = virt::Platform::kBare;
-    double dirty = 0.0; //!< guest-CPU dirty rate, pages/ms
-    double loss = 0.0;  //!< hostile-wire drop rate
-    u64 pages = 4096;
-    unsigned app_qps = 8; //!< guest data QPs live at blackout
-    unsigned threads = 1;
-    u64 dirty_seed = 1;
-    bool strays = true;
-};
-
-struct MigOut
-{
-    migrate::MigrationReport rep;
-    u64 stray_arrivals = 0;
-    u64 stray_faulted = 0;
-    u64 stray_landed = 0;
-    bool hash_ok = false;
-};
-
-MigOut
-runMigration(const MigRun &r)
-{
-    sys::ClusterConfig cfg;
-    cfg.machines = 2;
-    cfg.threads = r.threads;
-    cfg.mode = r.mode;
-    cfg.max_qps = r.app_qps + 4;
-    cfg.migration = true;
-    // The reliability layer stays on even at loss 0: its responder-side
-    // liveness check is what classifies post-migration strays into the
-    // migrated-away ledger (a bare wire never inspects the dead QP).
-    cfg.reliability.enabled = true;
-    if (r.loss > 0.0) {
-        // The wire-storm recipe: duplicates and stragglers ride well
-        // above the drop rate, long enough to outlive the blackout.
-        cfg.wire.drop_rate = r.loss;
-        cfg.wire.dup_rate = std::min(0.25, 3 * r.loss);
-        cfg.wire.delay_rate = std::min(0.5, 10 * r.loss);
-        cfg.wire.delay_max_ns = 60000;
-    }
-    sys::Cluster cl(cfg);
-
-    // Guests wrap the machines when a vIOMMU platform is under test;
-    // each binds its machine's guest data handle. The hypervisor
-    // (migration) handles stay unbound — pre-copy is host work.
-    std::unique_ptr<virt::Guest> sg, dg;
-    unsigned src_binding = 0;
-    if (r.platform != virt::Platform::kBare) {
-        sg = std::make_unique<virt::Guest>(cl.machine(0), r.platform);
-        dg = std::make_unique<virt::Guest>(cl.machine(1), r.platform);
-        src_binding = sg->bindHandle(cl.handle(0), cl.machine(0).core(0));
-        (void)dg->bindHandle(cl.handle(1), cl.machine(1).core(0));
-    }
-    cl.bringUp();
-
-    // Establish the guest's data-plane QPs (the live rings the rIOMMU
-    // blackout is bounded by) and the stray peer's reverse QP.
-    auto stray = std::make_shared<Stray>();
-    stray->cl = &cl;
-    unsigned connected = 0;
-    cl.machine(0).core(0).post([&] {
-        for (unsigned q = 0; q < r.app_qps; ++q) {
-            auto res = cl.nic(0).connect(1, [&connected](u32, bool ok) {
-                if (ok)
-                    ++connected;
-            });
-            RIO_ASSERT(res.isOk(), "app QP connect failed");
-        }
-    });
-    if (r.strays) {
-        cl.machine(1).core(0).post([&cl, stray] {
-            auto res = cl.nic(1).connect(0, [stray](u32 qp, bool ok) {
-                stray->qp = qp;
-                stray->connected = ok;
-            });
-            RIO_ASSERT(res.isOk(), "stray QP connect failed");
-        });
-    }
-    cl.run();
-    RIO_ASSERT(connected == r.app_qps, "only ", connected, " of ",
-               r.app_qps, " app QPs established");
-    RIO_ASSERT(!r.strays || stray->connected,
-               "stray QP failed to establish");
-
-    migrate::MigrateConfig mc;
-    mc.src = 0;
-    mc.dst = 1;
-    mc.platform = r.platform;
-    mc.guest_pages = r.pages;
-    mc.dirty_pages_per_ms = r.dirty;
-    mc.dirty_seed = r.dirty_seed;
-    mc.converge_dirty = 16;
-    migrate::Migrator mig(cl, mc);
-    mig.setGuests(sg.get(), dg.get(), src_binding);
-    mig.start();
-    if (r.strays) {
-        // Open-loop fire at the old QP, overlapping every pre-copy
-        // round, the blackout, and a long post-resume tail.
-        stray->remaining = r.pages * 8;
-        cl.lane(1).sim().scheduleAfter(kStrayGapNs,
-                                       [stray] { strayTick(stray); });
-    }
-    cl.run();
-
-    MigOut out;
-    out.rep = mig.report();
-    RIO_ASSERT(out.rep.completed && !out.rep.failed,
+    const MigrationResult o = workloads::runMigration(r);
+    RIO_ASSERT(o.rep.completed && !o.rep.failed,
                "migration did not complete at ", dma::modeName(r.mode),
                "/", virt::platformName(r.platform), " loss=", r.loss);
-    out.hash_ok = mig.arenaHash(false) == mig.arenaHash(true);
-    RIO_ASSERT(out.hash_ok, "guest RAM diverged at ",
+    RIO_ASSERT(o.src_hash == o.dst_hash, "guest RAM diverged at ",
                dma::modeName(r.mode), "/",
                virt::platformName(r.platform), " dirty=", r.dirty,
                " loss=", r.loss);
-    const rdma::RdmaStats &src_stats = cl.nic(0).stats();
-    out.stray_arrivals = src_stats.migrated_away_arrivals;
-    out.stray_faulted = src_stats.migrated_away_faulted;
-    out.stray_landed = src_stats.migrated_away_landed;
-
-    mig.cleanup();
-    cl.quiesce();
-    for (unsigned m = 0; m < 2; ++m) {
-        RIO_ASSERT(cl.checkLeaks(m).clean(), "guest handle leak on ",
-                   m, " at ", dma::modeName(r.mode));
-        RIO_ASSERT(cl.checkMigLeaks(m).clean(),
-                   "hypervisor handle leak on ", m, " at ",
-                   dma::modeName(r.mode));
-    }
-    return out;
+    RIO_ASSERT(o.leaks_clean, "handle leak at ", dma::modeName(r.mode),
+               "/", virt::platformName(r.platform));
+    return o;
 }
 
 bool
@@ -223,8 +74,8 @@ isProtectedMode(std::string_view n)
 }
 
 void
-jsonRow(bench::JsonWriter &json, const char *variant, const MigRun &r,
-        const MigOut &o)
+jsonRow(bench::JsonWriter &json, const char *variant,
+        const MigrationParams &r, const MigrationResult &o)
 {
     json.beginRow();
     json.add("variant", variant);
@@ -251,11 +102,11 @@ jsonRow(bench::JsonWriter &json, const char *variant, const MigRun &r,
     json.add("stray_arrivals", o.stray_arrivals);
     json.add("stray_faulted", o.stray_faulted);
     json.add("stray_landed", o.stray_landed);
-    json.add("hash_ok", static_cast<u64>(o.hash_ok));
+    json.add("hash_ok", static_cast<u64>(o.src_hash == o.dst_hash));
 }
 
 void
-tableRow(Table &t, const MigRun &r, const MigOut &o)
+tableRow(Table &t, const MigrationParams &r, const MigrationResult &o)
 {
     t.addRow(strprintf("%s/%s", dma::modeName(r.mode),
                        virt::platformName(r.platform)),
@@ -271,70 +122,6 @@ tableRow(Table &t, const MigRun &r, const MigOut &o)
               static_cast<double>(o.stray_faulted),
               static_cast<double>(o.stray_landed)},
              2);
-}
-
-/** The bench_cluster_rdma base rows on a migration-disabled cluster,
- * for the golden_migrate inertness diff (exact bench_wire_storm
- * recipe; byte-identical rows by construction). */
-int
-runCompat(const bench::BenchArgs &args, bool quick)
-{
-    bench::printHeader(
-        "Migration, --loss 0: migration-disabled compat rows "
-        "(byte-identical to bench_cluster_rdma; golden_migrate gate)");
-    workloads::FleetParams p;
-    p.connections = 64;
-    p.credits = 16;
-    p.warmup_ops = quick ? 100 : 300;
-    p.measure_ops = quick ? 500 : 3000;
-    p.seed = 3;
-
-    Table t({"mode", "conns", "cycles/op", "avg burst"});
-    bench::JsonWriter json("migration_compat", args.threads);
-    for (const dma::ProtectionMode mode : bench::evaluatedModes()) {
-        sys::ClusterConfig cfg;
-        cfg.machines = 2;
-        cfg.threads = args.threads;
-        cfg.mode = mode;
-        cfg.max_qps = workloads::fleetMaxQps(p, 2);
-        cfg.migration = false; // the subsystem under inertness test
-        sys::Cluster cluster(cfg);
-        const workloads::FleetReport rep =
-            workloads::runFleet(cluster, p);
-        RIO_ASSERT(rep.leaks_clean && rep.comp_errors == 0 &&
-                       rep.remote_faults == 0,
-                   "compat row must match the lossless fabric at ",
-                   dma::modeName(mode));
-        const double hitrate =
-            rep.rdcache.fetches
-                ? 100.0 * static_cast<double>(rep.rdcache.hot_hits) /
-                      static_cast<double>(rep.rdcache.fetches)
-                : 0.0;
-        t.addRow(dma::modeName(mode),
-                 {static_cast<double>(p.connections),
-                  rep.cycles_per_op, rep.avg_burst},
-                 2);
-        json.beginRow();
-        json.add("mode", dma::modeName(mode));
-        json.add("variant", "base");
-        json.add("connections", static_cast<u64>(p.connections));
-        json.add("cycles_per_op", rep.cycles_per_op);
-        json.add("avg_burst", rep.avg_burst);
-        json.add("measured_ops", rep.measured_ops);
-        json.add("completions", rep.completions);
-        json.add("posts_blocked", rep.posts_blocked);
-        json.add("eob_unmaps", rep.eob_unmaps);
-        json.add("riotlb_invalidations", rep.riotlb.invalidations);
-        json.add("riotlb_walks", rep.riotlb.walks);
-        json.add("rdcache_fetches", rep.rdcache.fetches);
-        json.add("rdcache_hot_hits", rep.rdcache.hot_hits);
-        json.add("rdcache_hit_rate", hitrate);
-    }
-    std::printf("%s\n", t.toString().c_str());
-    if (!json.writeTo(args.json_path))
-        return 1;
-    bench::finishBench(args);
-    return 0;
 }
 
 u64
@@ -361,13 +148,11 @@ main(int argc, char **argv)
          {"--loss",
           [&](int &i) { loss = bench::flagValue(argc, argv, i, 0.0, 1.0); }},
          {"--pages", [&](int &i) {
-              pages_override = bench::flagValue<u64>(argc, argv, i, 64);
+              pages_override = bench::flagValue<u64>(argc, argv, i, 2048);
           }}});
-    if (loss == 0.0)
-        return runCompat(args, quick);
 
     const u64 P = pages_override ? pages_override : (quick ? 4096 : 8192);
-    const double armed_loss = loss > 0.0 ? loss : 0.02;
+    const double armed_loss = loss >= 0.0 ? loss : 0.02;
     const double base_dirty = 50.0;
 
     bench::printHeader(strprintf(
@@ -385,18 +170,17 @@ main(int argc, char **argv)
     {
         std::string mode;
         virt::Platform platform;
-        MigOut out;
+        MigrationResult out;
     };
     std::vector<Key> base;
     for (const virt::Platform plat : virt::kAllPlatforms) {
         for (const dma::ProtectionMode mode : bench::evaluatedModes()) {
-            MigRun r;
+            MigrationParams r;
             r.mode = mode;
             r.platform = plat;
             r.dirty = base_dirty;
             r.pages = P;
-            r.threads = args.threads;
-            const MigOut o = runMigration(r);
+                const MigrationResult o = audited(r);
             tableRow(t, r, o);
             jsonRow(json, "migrate", r, o);
 
@@ -434,16 +218,17 @@ main(int argc, char **argv)
     // The per-platform blackout ordering, on the representative
     // baseline mode: shadow (only what is mapped) < nested (stage-2
     // for the whole arena) < emulated (per-mapping exit replay).
-    const auto find = [&base](const char *m, virt::Platform p) -> const MigOut & {
+    const auto find = [&base](const char *m,
+                              virt::Platform p) -> const MigrationResult & {
         for (const Key &k : base)
             if (k.mode == m && k.platform == p)
                 return k.out;
         RIO_PANIC("missing base point");
     };
     {
-        const MigOut &sh = find("strict", virt::Platform::kShadow);
-        const MigOut &ne = find("strict", virt::Platform::kNested);
-        const MigOut &em = find("strict", virt::Platform::kEmulated);
+        const auto &sh = find("strict", virt::Platform::kShadow);
+        const auto &ne = find("strict", virt::Platform::kNested);
+        const auto &em = find("strict", virt::Platform::kEmulated);
         RIO_ASSERT(sh.rep.state_bytes < ne.rep.state_bytes,
                    "shadow must ship less state than nested: ",
                    sh.rep.state_bytes, " vs ", ne.rep.state_bytes);
@@ -459,24 +244,23 @@ main(int argc, char **argv)
     // ---- rIOMMU scaling: blackout ~ rings, flat in memory ----------
     const auto scaled_run = [&](dma::ProtectionMode mode, unsigned qps,
                                 u64 pages) {
-        MigRun r;
+        MigrationParams r;
         r.mode = mode;
         r.platform = virt::Platform::kNested;
         r.dirty = 0.0; // clean scaling: state transfer only
         r.pages = pages;
         r.app_qps = qps;
-        r.threads = args.threads;
         r.strays = false;
-        const MigOut o = runMigration(r);
+        const MigrationResult o = audited(r);
         tableRow(t, r, o);
         jsonRow(json, "scaling", r, o);
         return o;
     };
-    const MigOut rq4 = scaled_run(dma::ProtectionMode::kRiommu, 4, P);
-    const MigOut rq12 = scaled_run(dma::ProtectionMode::kRiommu, 12, P);
-    const MigOut rp4 = scaled_run(dma::ProtectionMode::kRiommu, 4, 4 * P);
-    const MigOut sp1 = scaled_run(dma::ProtectionMode::kStrict, 4, P);
-    const MigOut sp4 = scaled_run(dma::ProtectionMode::kStrict, 4, 4 * P);
+    const auto rq4 = scaled_run(dma::ProtectionMode::kRiommu, 4, P);
+    const auto rq12 = scaled_run(dma::ProtectionMode::kRiommu, 12, P);
+    const auto rp4 = scaled_run(dma::ProtectionMode::kRiommu, 4, 4 * P);
+    const auto sp1 = scaled_run(dma::ProtectionMode::kStrict, 4, P);
+    const auto sp4 = scaled_run(dma::ProtectionMode::kStrict, 4, 4 * P);
     t.addSeparator();
     RIO_ASSERT(rq12.rep.live_rings == rq4.rep.live_rings + 16,
                "ring count must track QP count: ", rq4.rep.live_rings,
@@ -497,13 +281,12 @@ main(int argc, char **argv)
     // ---- dirty-rate pressure: the round cap earns its keep ---------
     for (const dma::ProtectionMode mode :
          {dma::ProtectionMode::kRiommu, dma::ProtectionMode::kStrict}) {
-        MigRun r;
+        MigrationParams r;
         r.mode = mode;
         r.platform = virt::Platform::kNested;
         r.dirty = 800.0;
         r.pages = P;
-        r.threads = args.threads;
-        const MigOut o = runMigration(r);
+        const MigrationResult o = audited(r);
         tableRow(t, r, o);
         jsonRow(json, "dirty", r, o);
         RIO_ASSERT(o.rep.rounds > 1 && o.rep.pages_reshipped > 0,
@@ -514,14 +297,13 @@ main(int argc, char **argv)
     // ---- hostile wire: loss on the migration stream ----------------
     for (const dma::ProtectionMode mode :
          {dma::ProtectionMode::kRiommu, dma::ProtectionMode::kStrict}) {
-        MigRun r;
+        MigrationParams r;
         r.mode = mode;
         r.platform = virt::Platform::kNested;
         r.dirty = base_dirty;
         r.loss = armed_loss;
         r.pages = P;
-        r.threads = args.threads;
-        const MigOut o = runMigration(r);
+        const MigrationResult o = audited(r);
         tableRow(t, r, o);
         jsonRow(json, "loss", r, o);
     }
@@ -539,15 +321,14 @@ main(int argc, char **argv)
                   dma::ProtectionMode::kStrict}) {
                 std::vector<u64> blk;
                 for (u64 seed = 1; seed <= 5; ++seed) {
-                    MigRun r;
+                    MigrationParams r;
                     r.mode = mode;
                     r.platform = plat;
                     r.dirty = base_dirty;
                     r.pages = P;
-                    r.threads = args.threads;
                     r.dirty_seed = seed;
                     blk.push_back(static_cast<u64>(
-                        runMigration(r).rep.blackout_ns));
+                        audited(r).rep.blackout_ns));
                 }
                 const u64 p50 = pctNs(blk, 0.50);
                 const u64 p99 = pctNs(blk, 0.99);

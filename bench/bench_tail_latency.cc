@@ -79,10 +79,7 @@ runPoint(dma::ProtectionMode mode, double loss, bool incast,
         // churn with app-death aborts feeding late arrivals.
         p.churn_period_ops = 25;
         p.churn_abort_fraction = 0.5;
-        cfg.wire.drop_rate = loss;
-        cfg.wire.dup_rate = std::min(0.25, 3 * loss);
-        cfg.wire.delay_rate = std::min(0.5, 10 * loss);
-        cfg.wire.delay_max_ns = 60000;
+        cfg.wire = sys::stormWire(loss);
         cfg.reliability.enabled = true;
     }
     if (incast) {

@@ -28,15 +28,11 @@
  * packet either recovers by retransmit or surfaces as a QP error that
  * flushes its WQEs as error CQEs — no post may vanish.
  *
- * `--loss 0` emits compat rows instead: the exact
- * bench_cluster_rdma base rows (lossless wire, reliability off,
- * 2 machines, 64 QPs) — the golden_wire ctest diffs them against the
- * checked-in cluster golden to prove the hostile-wire subsystem is
- * bit-for-bit inert when disarmed.
+ * `--loss 0` is an ordinary point: the same sweep on an unarmed wire
+ * (only the ingress cap of the incast points stays), reliability on.
  */
 #include "bench_common.h"
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -51,8 +47,7 @@ namespace {
 workloads::FleetParams
 baseParams(bool quick)
 {
-    // Mirrors bench_cluster_rdma's 64-connection point exactly; the
-    // compat rows below must be byte-identical to its golden.
+    // bench_cluster_rdma's 64-connection point.
     workloads::FleetParams p;
     p.connections = 64;
     p.credits = 16;
@@ -87,17 +82,7 @@ runStorm(dma::ProtectionMode mode, double loss, bool incast,
     cfg.threads = threads;
     cfg.mode = mode;
     cfg.max_qps = workloads::fleetMaxQps(p, machines);
-    cfg.wire.drop_rate = loss;
-    // Dup and delay rates ride well above the drop rate: duplicates
-    // of already-acked packets and long-tail stragglers are the only
-    // packets that can lose the race against a QP-abort notify, so
-    // they are what populates the late-arrival columns.
-    cfg.wire.dup_rate = std::min(0.25, 3 * loss);
-    cfg.wire.delay_rate = std::min(0.5, 10 * loss);
-    // Straggler tail must outlive a QP abort (error notify + drain),
-    // or no delayed packet ever meets a dead QP and the late-arrival
-    // columns stay zero.
-    cfg.wire.delay_max_ns = 60000;
+    cfg.wire = sys::stormWire(loss);
     if (incast)
         cfg.wire.ingress_cap = 16; // bounded port: incast tail-drops
     cfg.reliability.enabled = true;
@@ -141,62 +126,6 @@ runStorm(dma::ProtectionMode mode, double loss, bool incast,
     return pt;
 }
 
-/** The bench_cluster_rdma base rows, for the golden_wire diff. */
-int
-runCompat(const bench::BenchArgs &args, unsigned machines, bool quick)
-{
-    bench::printHeader(
-        "Wire storm, --loss 0: lossless-wire compat rows "
-        "(byte-identical to bench_cluster_rdma; golden_wire gate)");
-    const workloads::FleetParams p = baseParams(quick);
-
-    Table t({"mode", "conns", "cycles/op", "avg burst"});
-    bench::JsonWriter json("wire_storm_compat", args.threads);
-    for (const dma::ProtectionMode mode : bench::evaluatedModes()) {
-        sys::ClusterConfig cfg;
-        cfg.machines = machines;
-        cfg.threads = args.threads;
-        cfg.mode = mode;
-        cfg.max_qps = workloads::fleetMaxQps(p, machines);
-        sys::Cluster cluster(cfg);
-        const workloads::FleetReport rep =
-            workloads::runFleet(cluster, p);
-        RIO_ASSERT(rep.leaks_clean && rep.comp_errors == 0 &&
-                       rep.remote_faults == 0,
-                   "compat row must match the lossless fabric at ",
-                   dma::modeName(mode));
-        const double hitrate =
-            rep.rdcache.fetches
-                ? 100.0 * static_cast<double>(rep.rdcache.hot_hits) /
-                      static_cast<double>(rep.rdcache.fetches)
-                : 0.0;
-        t.addRow(dma::modeName(mode),
-                 {static_cast<double>(p.connections),
-                  rep.cycles_per_op, rep.avg_burst},
-                 2);
-        json.beginRow();
-        json.add("mode", dma::modeName(mode));
-        json.add("variant", "base");
-        json.add("connections", static_cast<u64>(p.connections));
-        json.add("cycles_per_op", rep.cycles_per_op);
-        json.add("avg_burst", rep.avg_burst);
-        json.add("measured_ops", rep.measured_ops);
-        json.add("completions", rep.completions);
-        json.add("posts_blocked", rep.posts_blocked);
-        json.add("eob_unmaps", rep.eob_unmaps);
-        json.add("riotlb_invalidations", rep.riotlb.invalidations);
-        json.add("riotlb_walks", rep.riotlb.walks);
-        json.add("rdcache_fetches", rep.rdcache.fetches);
-        json.add("rdcache_hot_hits", rep.rdcache.hot_hits);
-        json.add("rdcache_hit_rate", hitrate);
-    }
-    std::printf("%s\n", t.toString().c_str());
-    if (!json.writeTo(args.json_path))
-        return 1;
-    bench::finishBench(args);
-    return 0;
-}
-
 } // namespace
 
 int
@@ -214,11 +143,8 @@ main(int argc, char **argv)
               machines = bench::flagValue(argc, argv, i, 2u);
           }}});
 
-    if (loss == 0.0)
-        return runCompat(args, /*machines=*/2, quick);
-
     std::vector<double> losses;
-    if (loss > 0.0)
+    if (loss >= 0.0)
         losses.push_back(loss);
     else if (quick)
         losses = {0.02};

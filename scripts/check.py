@@ -10,11 +10,9 @@ A row runs one bench of the build tree in $RIO_BUILD_DIR (default:
 build/ under the repo root) with RIO_BENCH_QUICK=1 RIO_JSON_STABLE=1
 and makes one comparison of its --json output:
 
-  golden=F            the output equals tests/golden/F exactly;
-  golden=F, where=W   the rows whose fields match W equal F's rows
-                      that match W;
-  threads=N           the output at --threads N equals the output at
-                      --threads 1.
+  golden=F     the output equals tests/golden/F exactly;
+  threads=N    the output at --threads N equals the output at
+               --threads 1.
 
 `norm` blanks the `bench` and/or `threads` meta fields on both sides
 before comparing, and nothing else may differ. Numbers are compared as
@@ -51,9 +49,6 @@ GOLDEN = ROOT / "tests" / "golden"
 QUICK = {"RIO_BENCH_QUICK": "1", "RIO_JSON_STABLE": "1"}
 
 FIG7 = "bench_fig7_cycles_per_packet"
-# The disabled-overlay rows of bench_wire_storm/bench_migration --loss 0
-# are the cluster golden's base rows at 64 QPs/machine.
-CLUSTER_BASE = {"variant": "base", "connections": "64"}
 
 
 @dataclass
@@ -61,7 +56,6 @@ class Row:
     bench: str | None           # None: the comparator's own self-test
     args: list
     golden: str | None = None
-    where: dict | None = None
     norm: tuple = ()
     threads: int = 0
     usage: str | None = None
@@ -123,12 +117,6 @@ ROWS = {
                             golden="fig7_quick.json", norm=("bench",)),
     "golden_virt": Row("bench_virt", ["--platform", "bare"],
                        golden="fig7_quick.json", norm=("bench",)),
-    "golden_wire": Row("bench_wire_storm", ["--loss", "0", "--quick"],
-                       golden="cluster_rdma_64_quick.json",
-                       where=CLUSTER_BASE),
-    "golden_migrate": Row("bench_migration", ["--loss", "0", "--quick"],
-                          golden="cluster_rdma_64_quick.json",
-                          where=CLUSTER_BASE),
     # Full distributed tracing and exact SLO recording cost nothing.
     "golden_obs": Row("bench_cluster_rdma",
                       ["--connections", "64", "--quick", "--slo"],
@@ -153,6 +141,9 @@ ROWS = {
                               usage="--loss"),
     "lifecycle_seed_bad_args": Row("bench_lifecycle_churn",
                                    ["--seed", "-1"], usage="--seed"),
+    # Below 2048 pages the bench's own platform claims fail.
+    "migration_pages_bad_args": Row("bench_migration",
+                                    ["--pages", "1024"], usage="--pages"),
     # A misspelt flag is refused, not skipped into the default sweep.
     "bench_unknown_flag_bad_args": Row(FIG7, ["--jsno", "out.json"],
                                        usage="--jsno"),
@@ -177,21 +168,13 @@ def load(path, norm=()):
     return doc
 
 
-def same(want_path, got_path, norm=(), where=None):
+def same(want_path, got_path, norm=()):
     """Compare two bench outputs; print a per-row diff if they differ."""
     want, got = load(want_path, norm), load(got_path, norm)
-    if where is not None:
-        def pick(doc):
-            return [r for r in doc["rows"]
-                    if all(r.get(k) == v for k, v in where.items())]
-        want, got = pick(want), pick(got)
-        assert want, f"no rows match {where} in {want_path}"
     if want == got:
         return True
 
     def lines(doc):
-        if isinstance(doc, list):
-            return [json.dumps(r) for r in doc]
         head = OrderedDict((k, v) for k, v in doc.items() if k != "rows")
         return [json.dumps(head)] + [json.dumps(r) for r in doc["rows"]]
     sys.stderr.writelines(line + "\n" for line in difflib.unified_diff(
@@ -267,13 +250,12 @@ def run_row(name, build=None, env=None):
         out = run_bench(build, row.bench, row.args, tmp, env, trace)
         if trace:
             row.trace(json.loads(trace.read_text()))
-        return same(GOLDEN / row.golden, out, row.norm, row.where)
+        return same(GOLDEN / row.golden, out, row.norm)
 
 
 def owns_golden(row):
     """Rows whose golden is their own bench's plain output."""
-    return (row.bench and row.golden and not row.norm and not row.where
-            and not row.trace)
+    return row.bench and row.golden and not row.norm and not row.trace
 
 
 def regen(name):
@@ -344,7 +326,7 @@ def check_op_trace(trace):
 
 def sh(cmd, env=None, quiet=False):
     """Run a command; `quiet` drops its stdout (a bench's tables) but
-    keeps stderr, where sanitizer reports go."""
+    keeps stderr, which carries sanitizer reports."""
     print("+", " ".join(str(c) for c in cmd), flush=True)
     subprocess.run([str(c) for c in cmd], env=env, check=True,
                    stdout=subprocess.DEVNULL if quiet else None)
@@ -475,7 +457,7 @@ LANES = {
                  ASAN_ENV, [
                      test("cluster_test"),
                      fuzz("*WireFuzz*", "2147483647,998244353,613566757"),
-                     row("golden_wire"), row("golden_wire_storm"),
+                     row("golden_wire_storm"),
                      bench("bench_wire_storm", "--quick"),
                  ]),
     # Pre-copy queues, QP-error re-queue and blackout teardown under
@@ -485,7 +467,7 @@ LANES = {
                     ASAN_ENV, [
                         test("migrate_test"),
                         fuzz("*MigrateFuzz*", "424243,797003,1299709"),
-                        row("golden_migrate"), row("golden_migration"),
+                        row("golden_migration"),
                     ]),
     # Wider oracle and cluster campaigns on a plain build; the other
     # campaigns at their compiled-in seeds.

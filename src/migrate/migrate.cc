@@ -629,12 +629,14 @@ Migrator::arenaHash(bool target) const
     const mem::PhysicalMemory &pm =
         cl_.machine(target ? cfg_.dst : cfg_.src).ctx().memory();
     const PhysAddr base = target ? dst_arena_ : src_arena_;
+    // FNV-1a with u64 words as the symbols. Each step is a bijection
+    // of h, so any change confined to one word changes the hash.
     u64 h = 1469598103934665603ULL; // FNV-1a offset basis
-    std::vector<u8> buf(kPageSize);
+    std::vector<u64> buf(kPageSize / sizeof(u64));
     for (u64 g = 0; g < cfg_.guest_pages; ++g) {
-        pm.read(base + g * kPageSize, buf.data(), buf.size());
-        for (u8 b : buf) {
-            h ^= b;
+        pm.read(base + g * kPageSize, buf.data(), kPageSize);
+        for (u64 w : buf) {
+            h ^= w;
             h *= 1099511628211ULL;
         }
     }

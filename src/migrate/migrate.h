@@ -33,8 +33,9 @@
  *
  * Determinism: the engine draws random numbers only in the seeded
  * GuestDirtier; all cross-machine interaction rides the existing
- * QP/wire layer, so `--threads 1` ≡ `--threads N` byte-for-byte
- * (pinned by the golden_migrate ctest).
+ * QP/wire layer, and coupled lanes run inline at any `--threads`, so
+ * a migration replays byte-for-byte (pinned by the golden_migration
+ * ctest and Migrate.ReportIdenticalAcrossThreadCounts).
  */
 #ifndef RIO_MIGRATE_MIGRATE_H
 #define RIO_MIGRATE_MIGRATE_H
@@ -167,7 +168,8 @@ class Migrator
     PhysAddr srcArena() const { return src_arena_; }
     PhysAddr dstArena() const { return dst_arena_; }
 
-    /** FNV-1a over the full arena bytes (0 = source, else target). */
+    /** FNV-1a over the full arena, one u64 word per step (false =
+     * source, true = target). Only ever compared for equality. */
     u64 arenaHash(bool target) const;
 
     GuestDirtier &dirtier() { return dirtier_; }

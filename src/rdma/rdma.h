@@ -136,7 +136,7 @@ struct WireMsg
  * RoCE-style reliability knobs. Off by default: with `enabled`
  * false the NIC byte-for-byte matches the lossless-wire model (no
  * PSN checks, no timers, no extra events) — required by the
- * golden_cluster / golden_wire pins. Enable it whenever the wire
+ * golden_cluster pin. Enable it whenever the wire
  * can lose or reorder (sys::WireFaultConfig armed).
  */
 struct ReliabilityConfig

@@ -18,8 +18,7 @@
  *
  * Inertness: every knob is gated on `rate > 0`, so the default
  * config draws zero random numbers and the Cluster bypasses the
- * port entirely (bit-for-bit identical to the lossless wire; pinned
- * by the golden_wire ctest).
+ * port entirely (bit-for-bit identical to the lossless wire).
  *
  * Scope: faults apply to the RDMA *data plane* only (kWrite/kRead/
  * kReadResp/kAck/kNak/kNakSeq). Connection management (connect/
@@ -30,6 +29,8 @@
  */
 #ifndef RIO_SYS_WIRE_H
 #define RIO_SYS_WIRE_H
+
+#include <algorithm>
 
 #include "base/rng.h"
 #include "base/types.h"
@@ -70,6 +71,25 @@ struct WireFaultConfig
                ingress_cap > 0;
     }
 };
+
+/**
+ * The wire-storm recipe at drop rate @p loss: duplicates and
+ * stragglers ride well above the drop rate, because duplicates of
+ * already-acked packets and long-tail stragglers are the only packets
+ * that can lose the race against a QP-abort notify — they populate
+ * the late-arrival ledger. The straggler tail outlives a QP abort
+ * (error notify + drain) and a migration blackout. Unarmed at 0.
+ */
+inline WireFaultConfig
+stormWire(double loss)
+{
+    WireFaultConfig w;
+    w.drop_rate = loss;
+    w.dup_rate = std::min(0.25, 3 * loss);
+    w.delay_rate = std::min(0.5, 10 * loss);
+    w.delay_max_ns = 60000;
+    return w;
+}
 
 /** Per-destination-port counters (summed by the bench). */
 struct WireStats

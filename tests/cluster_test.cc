@@ -9,13 +9,15 @@
  *     rIOTLB residue, audited with checkHandleLeaks in all 7 modes;
  *   - fleet runs are bit-for-bit identical across ParallelEngine
  *     thread counts (the golden_cluster check row pins the bench's
- *     JSON to an exact golden);
+ *     JSON to an exact golden), and an idle migration overlay leaves
+ *     them untouched;
  *   - the rDEVICE descriptor-fetch model and its hot tier count
  *     fetches consistently and default to off.
  */
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <sstream>
 #include <vector>
 
@@ -463,8 +465,19 @@ TEST(Fleet, SmokeAllModes)
     }
 }
 
-std::string
-fleetFingerprint(unsigned threads)
+/** One fleet run, printed: `run` holds the FleetReport fields and
+ * each lane's clock and event count, `cycles` each machine's
+ * whole-run core-0 cycle total. */
+struct FleetPrint
+{
+    std::string run;
+    std::string cycles;
+};
+
+/** @p tweak edits the cluster config last, before the build. */
+FleetPrint
+fleetFingerprint(unsigned threads,
+                 const std::function<void(sys::ClusterConfig &)> &tweak = {})
 {
     workloads::FleetParams p;
     p.connections = 12;
@@ -481,31 +494,63 @@ fleetFingerprint(unsigned threads)
     cfg.max_qps = workloads::fleetMaxQps(p, cfg.machines);
     cfg.rdcache.model_fetch = true;
     cfg.rdcache.hot_entries = 64;
+    if (tweak)
+        tweak(cfg);
     sys::Cluster cluster(cfg);
     auto rep = runFleet(cluster, p);
 
-    std::ostringstream os;
+    std::ostringstream os, cycles;
     os << rep.measured_ops << '/' << rep.measured_cycles << '/'
        << rep.total_ops << '/' << rep.posts << '/'
-       << rep.posts_blocked << '/' << rep.connects << '/'
-       << rep.teardowns << '/' << rep.eob_unmaps << '/'
-       << rep.completions << '/' << rep.riotlb.lookups << '/'
+       << rep.posts_blocked << '/' << rep.comp_errors << '/'
+       << rep.remote_faults << '/' << rep.local_fault_drops << '/'
+       << rep.connects << '/' << rep.teardowns << '/' << rep.eob_unmaps
+       << '/' << rep.completions << '/' << rep.riotlb.lookups << '/'
        << rep.riotlb.walks << '/' << rep.riotlb.invalidations << '/'
-       << rep.rdcache.fetches << '/' << rep.rdcache.hot_hits;
-    for (unsigned m = 0; m < cluster.size(); ++m)
-        os << '|' << cluster.machine(m).acct(0).total() << ':'
-           << cluster.lane(m).sim().now() << ':'
+       << rep.rdcache.fetches << '/' << rep.rdcache.hot_hits << '/'
+       << rep.p50_latency_ns << '/' << rep.p99_latency_ns << '/'
+       << rep.end_ns << '/' << rep.leaks_clean;
+    for (unsigned m = 0; m < cluster.size(); ++m) {
+        os << '|' << cluster.lane(m).sim().now() << ':'
            << cluster.lane(m).sim().eventsRun();
-    return os.str();
+        cycles << '|' << cluster.machine(m).acct(0).total();
+    }
+    return {os.str(), cycles.str()};
 }
 
 /** The satellite determinism gate: --threads 1 and --threads 3 runs
  * are bit-for-bit identical, down to per-lane event counts. */
 TEST(Fleet, ThreadCountInvariance)
 {
-    const std::string one = fleetFingerprint(1);
-    const std::string three = fleetFingerprint(3);
-    EXPECT_EQ(one, three);
+    const FleetPrint one = fleetFingerprint(1);
+    const FleetPrint three = fleetFingerprint(3);
+    EXPECT_EQ(one.run, three.run);
+    EXPECT_EQ(one.cycles, three.cycles);
+}
+
+/** The migration overlay is inert until a Migrator runs: a cluster
+ * built with `migration = true` replays the default cluster's fleet
+ * run report field by report field and event for event, in every
+ * mode. Whole-run cycles differ by design: each machine's hypervisor
+ * NIC comes up on core 0, outside the measurement window. */
+TEST(Fleet, IdleMigrationOverlayIsInert)
+{
+    for (ProtectionMode mode : dma::kEvaluatedModes) {
+        SCOPED_TRACE(dma::modeName(mode));
+        const FleetPrint base = fleetFingerprint(
+            1, [mode](sys::ClusterConfig &c) { c.mode = mode; });
+        const FleetPrint overlay =
+            fleetFingerprint(1, [mode](sys::ClusterConfig &c) {
+                c.mode = mode;
+                c.migration = true;
+            });
+        EXPECT_EQ(base.run, overlay.run);
+        // ... which proves the overlay was built (mode none maps
+        // for free, so its bring-up costs nothing).
+        if (mode != ProtectionMode::kNone) {
+            EXPECT_NE(base.cycles, overlay.cycles);
+        }
+    }
 }
 
 /** The descriptor-fetch model defaults off and, when on, counts

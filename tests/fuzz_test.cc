@@ -24,6 +24,7 @@
 #include "sys/machine.h"
 #include "virt/guest.h"
 #include "workloads/fleet.h"
+#include "workloads/migration.h"
 
 namespace rio {
 namespace {
@@ -881,9 +882,7 @@ runWireCampaign(dma::ProtectionMode mode, u64 seed, unsigned threads)
     cfg.max_qps = workloads::fleetMaxQps(p, cfg.machines);
     const double loss =
         0.01 * static_cast<double>(shape.range(1, 5)); // 1%..5%
-    cfg.wire.drop_rate = loss;
-    cfg.wire.dup_rate = std::min(0.25, 3 * loss);
-    cfg.wire.delay_rate = std::min(0.5, 10 * loss);
+    cfg.wire = sys::stormWire(loss);
     cfg.wire.delay_max_ns = 20000 + 10000 * shape.below(5);
     if (shape.chance(0.5))
         cfg.wire.ingress_cap = static_cast<u32>(shape.range(8, 24));
@@ -978,9 +977,11 @@ INSTANTIATE_TEST_SUITE_P(
  * the target arena is byte-identical to the source (no page lost,
  * forked, or double-applied, whatever the wire did), protected modes
  * land zero post-migration strays, both guest and hypervisor handles
- * quiesce leak-free, and the whole report agrees field for field
- * between threads = 1 and 2. RIO_EXTRA_SEEDS appends
- * seeds (the migration CI soak).
+ * quiesce leak-free, and two runs of the same seed agree field for
+ * field (coupled lanes run inline at any thread count, so the
+ * thread-count contract is a replay of identical params). Each run
+ * goes through workloads::runMigration. RIO_EXTRA_SEEDS appends seeds
+ * (the migration CI soak).
  */
 std::vector<ClusterFuzzParam>
 migrateFuzzParams()
@@ -997,136 +998,37 @@ migrateFuzzParams()
     return params;
 }
 
-struct MigrateCampaign
-{
-    migrate::MigrationReport rep;
-    u64 src_hash = 0;
-    u64 dst_hash = 0;
-    u64 stray_arrivals = 0;
-    u64 stray_faulted = 0;
-    u64 stray_landed = 0;
-    bool leaks_clean = false;
-    Nanos src_now = 0;
-    Nanos dst_now = 0;
-};
-
-MigrateCampaign
-runMigrateCampaign(dma::ProtectionMode mode, u64 seed, unsigned threads)
+/** Derive the migration shape from @p seed and run it; the seeded
+ * mid-round stream abort is the hostility hook. */
+workloads::MigrationResult
+migrateCampaign(dma::ProtectionMode mode, u64 seed)
 {
     Rng shape(seed * 0x9E3779B97F4A7C15ULL + 17);
     const std::array<virt::Platform, 4> platforms = {
         virt::Platform::kBare, virt::Platform::kEmulated,
         virt::Platform::kShadow, virt::Platform::kNested};
-    const virt::Platform platform = platforms[shape.below(4)];
-    const u64 pages = 256u << shape.below(3); // 256..1024
-    const double dirty = 100.0 * static_cast<double>(shape.range(0, 6));
-    const double loss = 0.01 * static_cast<double>(shape.range(0, 4));
-    const unsigned app_qps = static_cast<unsigned>(shape.range(2, 6));
+    workloads::MigrationParams p;
+    p.mode = mode;
+    p.platform = platforms[shape.below(4)];
+    p.pages = 256u << shape.below(3); // 256..1024
+    p.dirty = 100.0 * static_cast<double>(shape.range(0, 6));
+    p.loss = 0.01 * static_cast<double>(shape.range(0, 4));
+    p.app_qps = static_cast<unsigned>(shape.range(2, 6));
+    p.dirty_seed = seed * 131 + 7;
     const bool abort_stream = shape.chance(0.5);
     const Nanos abort_at = 20000 * shape.range(1, 8);
-
-    sys::ClusterConfig cfg;
-    cfg.machines = 2;
-    cfg.threads = threads;
-    cfg.mode = mode;
-    cfg.max_qps = app_qps + 4;
-    cfg.migration = true;
-    cfg.reliability.enabled = true;
-    if (loss > 0.0) {
-        cfg.wire.drop_rate = loss;
-        cfg.wire.dup_rate = std::min(0.25, 3 * loss);
-        cfg.wire.delay_rate = std::min(0.5, 10 * loss);
-        cfg.wire.delay_max_ns = 60000;
-    }
-    sys::Cluster cl(cfg);
-
-    std::unique_ptr<virt::Guest> sg, dg;
-    unsigned src_binding = 0;
-    if (platform != virt::Platform::kBare) {
-        sg = std::make_unique<virt::Guest>(cl.machine(0), platform);
-        dg = std::make_unique<virt::Guest>(cl.machine(1), platform);
-        src_binding = sg->bindHandle(cl.handle(0), cl.machine(0).core(0));
-        (void)dg->bindHandle(cl.handle(1), cl.machine(1).core(0));
-    }
-    cl.bringUp();
-
-    bool stray_up = false;
-    u32 stray_qp = 0;
-    cl.machine(0).core(0).post([&] {
-        for (unsigned q = 0; q < app_qps; ++q)
-            (void)cl.nic(0).connect(1, nullptr);
-    });
-    cl.machine(1).core(0).post([&] {
-        (void)cl.nic(1).connect(0, [&](u32 qp, bool ok) {
-            stray_qp = qp;
-            stray_up = ok;
-        });
-    });
-    cl.run();
-
-    migrate::MigrateConfig mc;
-    mc.src = 0;
-    mc.dst = 1;
-    mc.platform = platform;
-    mc.guest_pages = pages;
-    mc.dirty_pages_per_ms = dirty;
-    mc.dirty_seed = seed * 131 + 7;
-    mc.converge_dirty = 16;
-    migrate::Migrator mig(cl, mc);
-    mig.setGuests(sg.get(), dg.get(), src_binding);
-    mig.start();
-    // Open-loop stray fire at the source's old fleet, outliving the
-    // migration; plus the seeded mid-round stream abort.
-    struct StrayState
-    {
-        sys::Cluster *cl;
-        u32 qp;
-        u64 remaining;
-    };
-    struct StrayTick
-    {
-        static void go(const std::shared_ptr<StrayState> &s)
-        {
-            if (s->remaining == 0)
+    return workloads::runMigration(
+        p, [&](sys::Cluster &cl, migrate::Migrator &,
+               const std::vector<u32> &) {
+            if (!abort_stream)
                 return;
-            --s->remaining;
-            (void)s->cl->nic(1).postWrite(s->qp, 256, 0);
-            s->cl->lane(1).sim().scheduleAfter(8000, [s] { go(s); });
-        }
-    };
-    auto stray = std::make_shared<StrayState>(
-        StrayState{&cl, stray_qp, stray_up ? pages * 4 : 0});
-    if (stray->remaining > 0)
-        cl.lane(1).sim().scheduleAfter(8000,
-                                       [stray] { StrayTick::go(stray); });
-    if (abort_stream) {
-        cl.lane(0).sim().scheduleAfter(abort_at, [&cl] {
-            cl.machine(0).core(0).post([&cl] {
-                for (u32 q = 0; q < cl.migNic(0).maxQps(); ++q)
-                    (void)cl.migNic(0).abortQp(q);
+            cl.lane(0).sim().scheduleAfter(abort_at, [&cl] {
+                cl.machine(0).core(0).post([&cl] {
+                    for (u32 q = 0; q < cl.migNic(0).maxQps(); ++q)
+                        (void)cl.migNic(0).abortQp(q);
+                });
             });
         });
-    }
-    cl.run();
-
-    MigrateCampaign out;
-    out.rep = mig.report();
-    out.src_hash = mig.arenaHash(false);
-    out.dst_hash = mig.arenaHash(true);
-    const rdma::RdmaStats &s = cl.nic(0).stats();
-    out.stray_arrivals = s.migrated_away_arrivals;
-    out.stray_faulted = s.migrated_away_faulted;
-    out.stray_landed = s.migrated_away_landed;
-    out.src_now = cl.lane(0).sim().now();
-    out.dst_now = cl.lane(1).sim().now();
-    mig.cleanup();
-    cl.quiesce();
-    out.leaks_clean = true;
-    for (unsigned m = 0; m < 2; ++m) {
-        out.leaks_clean &= cl.checkLeaks(m).clean();
-        out.leaks_clean &= cl.checkMigLeaks(m).clean();
-    }
-    return out;
 }
 
 class MigrateFuzz : public ::testing::TestWithParam<ClusterFuzzParam>
@@ -1136,8 +1038,8 @@ class MigrateFuzz : public ::testing::TestWithParam<ClusterFuzzParam>
 TEST_P(MigrateFuzz, HostileMigrationConvergesIdenticallyAcrossThreads)
 {
     const auto [mode, seed] = GetParam();
-    const MigrateCampaign c1 = runMigrateCampaign(mode, seed, 1);
-    const MigrateCampaign c2 = runMigrateCampaign(mode, seed, 2);
+    const workloads::MigrationResult c1 = migrateCampaign(mode, seed);
+    const workloads::MigrationResult c2 = migrateCampaign(mode, seed);
 
     EXPECT_TRUE(c1.rep.completed);
     EXPECT_FALSE(c1.rep.failed);
@@ -1149,7 +1051,7 @@ TEST_P(MigrateFuzz, HostileMigrationConvergesIdenticallyAcrossThreads)
         EXPECT_EQ(c1.stray_landed, 0u);
     }
 
-    // Thread-count invariance, field for field.
+    // Replay, field for field.
     EXPECT_EQ(c1.rep.rounds, c2.rep.rounds);
     EXPECT_EQ(c1.rep.pages_shipped, c2.rep.pages_shipped);
     EXPECT_EQ(c1.rep.pages_reshipped, c2.rep.pages_reshipped);

@@ -13,170 +13,45 @@
  *     QP error on the migration stream itself, teardown/reconnect
  *     churn during rounds — never loses or forks a page, and every
  *     run quiesces leak-free on both guest and hypervisor handles;
- *   - the whole engine is thread-count invariant (ParallelEngine
- *     handoff contract), report field by report field.
+ *   - a migration replays byte-for-byte, report field by report
+ *     field (coupled lanes run inline at any thread count);
+ *   - the arena hash notices a single flipped byte.
+ *
+ * Every experiment runs through workloads::runMigration; the
+ * hostility hook is where a test schedules mid-migration trouble.
  */
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "dma/protection_mode.h"
+#include "mem/phys_mem.h"
 #include "migrate/migrate.h"
-#include "rdma/rdma.h"
 #include "sys/cluster.h"
-#include "virt/guest.h"
 #include "virt/platform.h"
+#include "workloads/migration.h"
 
 namespace rio {
 namespace {
 
 using dma::ProtectionMode;
 using virt::Platform;
+using workloads::MigrationParams;
+using workloads::runMigration;
 
-/** One migration experiment (small: suite-sized, not bench-sized). */
-struct MigParams
+/** Suite-sized experiment (the driver's defaults are bench-sized). */
+MigrationParams
+smallParams(ProtectionMode mode, Platform platform)
 {
-    ProtectionMode mode = ProtectionMode::kRiommu;
-    Platform platform = Platform::kBare;
-    double dirty = 0.0;
-    double loss = 0.0;
-    u64 pages = 512;
-    unsigned app_qps = 4;
-    unsigned threads = 1;
-    bool strays = false;
-};
-
-struct MigResult
-{
-    migrate::MigrationReport rep;
-    u64 stray_arrivals = 0;
-    u64 stray_faulted = 0;
-    u64 stray_landed = 0;
-    bool hash_ok = false;
-    bool leaks_clean = false;
-    Nanos src_lane_now = 0;
-};
-
-constexpr Nanos kStrayGapNs = 8000;
-
-struct Stray
-{
-    sys::Cluster *cl = nullptr;
-    u32 qp = 0;
-    u64 remaining = 0;
-    bool connected = false;
-};
-
-void
-strayTick(const std::shared_ptr<Stray> &s)
-{
-    if (s->remaining == 0)
-        return;
-    --s->remaining;
-    if (s->connected)
-        (void)s->cl->nic(1).postWrite(s->qp, 512, 0);
-    s->cl->lane(1).sim().scheduleAfter(kStrayGapNs,
-                                      [s] { strayTick(s); });
-}
-
-/**
- * Build the cluster, establish the fleet, migrate, audit. @p hostility
- * runs after Migrator::start() and before the engine runs — the hook
- * where tests schedule mid-migration trouble.
- */
-MigResult
-runMig(const MigParams &p,
-       const std::function<void(sys::Cluster &, migrate::Migrator &,
-                                const std::vector<u32> &)> &hostility =
-           nullptr)
-{
-    sys::ClusterConfig cfg;
-    cfg.machines = 2;
-    cfg.threads = p.threads;
-    cfg.mode = p.mode;
-    cfg.max_qps = p.app_qps + 8; // churn headroom
-    cfg.migration = true;
-    cfg.reliability.enabled = true; // abortQp + migrated-away ledger
-    if (p.loss > 0.0) {
-        cfg.wire.drop_rate = p.loss;
-        cfg.wire.dup_rate = std::min(0.25, 3 * p.loss);
-        cfg.wire.delay_rate = std::min(0.5, 10 * p.loss);
-        cfg.wire.delay_max_ns = 60000;
-    }
-    sys::Cluster cl(cfg);
-
-    std::unique_ptr<virt::Guest> sg, dg;
-    unsigned src_binding = 0;
-    if (p.platform != Platform::kBare) {
-        sg = std::make_unique<virt::Guest>(cl.machine(0), p.platform);
-        dg = std::make_unique<virt::Guest>(cl.machine(1), p.platform);
-        src_binding = sg->bindHandle(cl.handle(0), cl.machine(0).core(0));
-        (void)dg->bindHandle(cl.handle(1), cl.machine(1).core(0));
-    }
-    cl.bringUp();
-
-    std::vector<u32> app_qps;
-    auto stray = std::make_shared<Stray>();
-    stray->cl = &cl;
-    cl.machine(0).core(0).post([&] {
-        for (unsigned q = 0; q < p.app_qps; ++q) {
-            auto res = cl.nic(0).connect(1, [&app_qps](u32 qp, bool ok) {
-                if (ok)
-                    app_qps.push_back(qp);
-            });
-            ASSERT_TRUE(res.isOk());
-        }
-    });
-    if (p.strays) {
-        cl.machine(1).core(0).post([&cl, stray] {
-            auto res = cl.nic(1).connect(0, [stray](u32 qp, bool ok) {
-                stray->qp = qp;
-                stray->connected = ok;
-            });
-            ASSERT_TRUE(res.isOk());
-        });
-    }
-    cl.run();
-    EXPECT_EQ(app_qps.size(), p.app_qps);
-
-    migrate::MigrateConfig mc;
-    mc.src = 0;
-    mc.dst = 1;
-    mc.platform = p.platform;
-    mc.guest_pages = p.pages;
-    mc.dirty_pages_per_ms = p.dirty;
-    mc.converge_dirty = 16;
-    migrate::Migrator mig(cl, mc);
-    mig.setGuests(sg.get(), dg.get(), src_binding);
-    mig.start();
-    if (p.strays) {
-        stray->remaining = p.pages * 4;
-        cl.lane(1).sim().scheduleAfter(kStrayGapNs,
-                                      [stray] { strayTick(stray); });
-    }
-    if (hostility)
-        hostility(cl, mig, app_qps);
-    cl.run();
-
-    MigResult out;
-    out.rep = mig.report();
-    out.hash_ok = mig.arenaHash(false) == mig.arenaHash(true);
-    const rdma::RdmaStats &src_stats = cl.nic(0).stats();
-    out.stray_arrivals = src_stats.migrated_away_arrivals;
-    out.stray_faulted = src_stats.migrated_away_faulted;
-    out.stray_landed = src_stats.migrated_away_landed;
-    out.src_lane_now = cl.lane(0).sim().now();
-
-    mig.cleanup();
-    cl.quiesce();
-    out.leaks_clean = true;
-    for (unsigned m = 0; m < 2; ++m) {
-        out.leaks_clean &= cl.checkLeaks(m).clean();
-        out.leaks_clean &= cl.checkMigLeaks(m).clean();
-    }
-    return out;
+    MigrationParams p;
+    p.mode = mode;
+    p.platform = platform;
+    p.pages = 512;
+    p.app_qps = 4;
+    p.strays = false;
+    return p;
 }
 
 /** RAM lands byte-identical for every platform x a mode sample, with
@@ -190,15 +65,12 @@ TEST(Migrate, MemoryByteIdenticalAcrossPlatformsAndModes)
               ProtectionMode::kNone}) {
             SCOPED_TRACE(std::string(dma::modeName(mode)) + "/" +
                          virt::platformName(platform));
-            MigParams p;
-            p.mode = mode;
-            p.platform = platform;
+            MigrationParams p = smallParams(mode, platform);
             p.dirty = 400; // hot enough to re-dirty shipped pages
-            p.pages = 512;
-            auto r = runMig(p);
+            auto r = runMigration(p);
             EXPECT_TRUE(r.rep.completed);
             EXPECT_FALSE(r.rep.failed);
-            EXPECT_TRUE(r.hash_ok);
+            EXPECT_EQ(r.src_hash, r.dst_hash);
             EXPECT_TRUE(r.leaks_clean);
             EXPECT_GE(r.rep.pages_shipped, p.pages);
             EXPECT_GT(r.rep.dirtier_writes, 0u);
@@ -206,6 +78,41 @@ TEST(Migrate, MemoryByteIdenticalAcrossPlatformsAndModes)
             EXPECT_LT(r.rep.blackout_ns, r.rep.total_ns);
         }
     }
+}
+
+/** The hash is the oracle of every test in this suite, so it must see
+ * one flipped byte: the top byte of a word (the bits a word-wide FNV
+ * step mixes least) and the very last byte of the arena. The check
+ * runs on the target lane long after resume; restoring the byte
+ * restores the match, which the driver's own post-run hashes confirm. */
+TEST(Migrate, ArenaHashSeesOneFlippedByte)
+{
+    MigrationParams p =
+        smallParams(ProtectionMode::kRiommu, Platform::kBare);
+    p.dirty = 100;
+    bool checked = false;
+    auto check = [&](sys::Cluster &cl, migrate::Migrator &mig) {
+        ASSERT_TRUE(mig.done());
+        mem::PhysicalMemory &pm = cl.machine(1).ctx().memory();
+        const PhysAddr base = mig.dstArena();
+        for (const PhysAddr a : {base + 7, base + p.pages * kPageSize - 1}) {
+            const u8 b = pm.read8(a);
+            EXPECT_EQ(mig.arenaHash(false), mig.arenaHash(true));
+            pm.write8(a, b ^ 0x80);
+            EXPECT_NE(mig.arenaHash(false), mig.arenaHash(true))
+                << "flip at arena offset " << a - base;
+            pm.write8(a, b);
+        }
+        checked = true;
+    };
+    auto r = runMigration(p, [&](sys::Cluster &cl, migrate::Migrator &mig,
+                                 const std::vector<u32> &) {
+        cl.lane(1).sim().scheduleAfter(1'000'000'000,
+                                       [&] { check(cl, mig); });
+    });
+    EXPECT_TRUE(checked);
+    EXPECT_TRUE(r.rep.completed);
+    EXPECT_EQ(r.src_hash, r.dst_hash);
 }
 
 /** The migrated-away ledger tier: strays at the source's dead QPs are
@@ -216,15 +123,12 @@ TEST(Migrate, PostMigrationStraysFaultInProtectedModes)
          {ProtectionMode::kRiommu, ProtectionMode::kStrict,
           ProtectionMode::kNone}) {
         SCOPED_TRACE(dma::modeName(mode));
-        MigParams p;
-        p.mode = mode;
-        p.platform = Platform::kNested;
-        p.pages = 512;
+        MigrationParams p = smallParams(mode, Platform::kNested);
         p.dirty = 50;
         p.strays = true;
-        auto r = runMig(p);
+        auto r = runMigration(p);
         EXPECT_TRUE(r.rep.completed);
-        EXPECT_TRUE(r.hash_ok);
+        EXPECT_EQ(r.src_hash, r.dst_hash);
         EXPECT_TRUE(r.leaks_clean);
         EXPECT_GT(r.stray_arrivals, 0u);
         if (mode == ProtectionMode::kNone) {
@@ -244,13 +148,11 @@ TEST(Migrate, PostMigrationStraysFaultInProtectedModes)
 TEST(Migrate, BlackoutOrdersShadowUnderNestedUnderEmulated)
 {
     auto run = [](Platform platform) {
-        MigParams p;
-        p.mode = ProtectionMode::kStrict;
-        p.platform = platform;
+        MigrationParams p = smallParams(ProtectionMode::kStrict, platform);
         p.pages = 4096;
         p.dirty = 50;
         p.app_qps = 8;
-        return runMig(p);
+        return runMigration(p);
     };
     auto sh = run(Platform::kShadow);
     auto ne = run(Platform::kNested);
@@ -267,12 +169,11 @@ TEST(Migrate, BlackoutOrdersShadowUnderNestedUnderEmulated)
 TEST(Migrate, RiommuBlackoutBoundedByRingsNotMemory)
 {
     auto run = [](unsigned qps, u64 pages) {
-        MigParams p;
-        p.mode = ProtectionMode::kRiommu;
-        p.platform = Platform::kNested;
+        MigrationParams p =
+            smallParams(ProtectionMode::kRiommu, Platform::kNested);
         p.app_qps = qps;
         p.pages = pages;
-        return runMig(p);
+        return runMigration(p);
     };
     auto small = run(2, 1024);
     auto more_rings = run(10, 1024);
@@ -297,12 +198,10 @@ TEST(Migrate, RiommuBlackoutBoundedByRingsNotMemory)
  * arena still lands intact. */
 TEST(Migrate, SurpriseAppDeathMidPreCopyStillCompletes)
 {
-    MigParams p;
-    p.mode = ProtectionMode::kRiommu;
-    p.platform = Platform::kNested;
+    MigrationParams p =
+        smallParams(ProtectionMode::kRiommu, Platform::kNested);
     p.pages = 2048;
-    p.app_qps = 4;
-    auto r = runMig(p, [](sys::Cluster &cl, migrate::Migrator &,
+    auto r = runMigration(p, [](sys::Cluster &cl, migrate::Migrator &,
                           const std::vector<u32> &qps) {
         cl.lane(0).sim().scheduleAfter(50000, [&cl, qps] {
             cl.machine(0).core(0).post([&cl, qps] {
@@ -312,7 +211,7 @@ TEST(Migrate, SurpriseAppDeathMidPreCopyStillCompletes)
         });
     });
     EXPECT_TRUE(r.rep.completed);
-    EXPECT_TRUE(r.hash_ok);
+    EXPECT_EQ(r.src_hash, r.dst_hash);
     EXPECT_TRUE(r.leaks_clean);
     // Only the static ring survives to blackout: the aborted QPs'
     // ring pairs are gone, so the target re-registers 1 ring, not 9.
@@ -325,12 +224,11 @@ TEST(Migrate, SurpriseAppDeathMidPreCopyStillCompletes)
  * double-applied (the arena hash is the oracle for both). */
 TEST(Migrate, StreamQpErrorResumesRoundWithoutPageLoss)
 {
-    MigParams p;
-    p.mode = ProtectionMode::kStrict;
-    p.platform = Platform::kShadow;
+    MigrationParams p =
+        smallParams(ProtectionMode::kStrict, Platform::kShadow);
     p.pages = 2048;
     p.dirty = 100;
-    auto r = runMig(p, [](sys::Cluster &cl, migrate::Migrator &,
+    auto r = runMigration(p, [](sys::Cluster &cl, migrate::Migrator &,
                           const std::vector<u32> &) {
         cl.lane(0).sim().scheduleAfter(100000, [&cl] {
             cl.machine(0).core(0).post([&cl] {
@@ -344,7 +242,7 @@ TEST(Migrate, StreamQpErrorResumesRoundWithoutPageLoss)
     EXPECT_TRUE(r.rep.completed);
     EXPECT_FALSE(r.rep.failed);
     EXPECT_GE(r.rep.stream_qp_errors, 1u);
-    EXPECT_TRUE(r.hash_ok);
+    EXPECT_EQ(r.src_hash, r.dst_hash);
     EXPECT_TRUE(r.leaks_clean);
     // Everything unacked at the error re-shipped on the new QP.
     EXPECT_GE(r.rep.pages_shipped, p.pages);
@@ -355,14 +253,12 @@ TEST(Migrate, StreamQpErrorResumesRoundWithoutPageLoss)
  * re-registration bill reflects the fleet as of blackout. */
 TEST(Migrate, SourceFleetChurnDuringRounds)
 {
-    MigParams p;
-    p.mode = ProtectionMode::kRiommu;
-    p.platform = Platform::kNested;
+    MigrationParams p =
+        smallParams(ProtectionMode::kRiommu, Platform::kNested);
     p.pages = 2048;
     p.dirty = 100;
-    p.app_qps = 4;
     unsigned reconnects = 0;
-    auto r = runMig(p, [&reconnects](sys::Cluster &cl,
+    auto r = runMigration(p, [&reconnects](sys::Cluster &cl,
                                      migrate::Migrator &,
                                      const std::vector<u32> &qps) {
         for (unsigned k = 0; k < qps.size(); ++k) {
@@ -388,7 +284,7 @@ TEST(Migrate, SourceFleetChurnDuringRounds)
         }
     });
     EXPECT_TRUE(r.rep.completed);
-    EXPECT_TRUE(r.hash_ok);
+    EXPECT_EQ(r.src_hash, r.dst_hash);
     EXPECT_TRUE(r.leaks_clean);
     EXPECT_EQ(reconnects, p.app_qps);
     // The reconnected fleet is what blackout re-registers: all 4
@@ -397,17 +293,15 @@ TEST(Migrate, SourceFleetChurnDuringRounds)
 }
 
 std::string
-migFingerprint(unsigned threads)
+migFingerprint()
 {
-    MigParams p;
-    p.mode = ProtectionMode::kRiommu;
-    p.platform = Platform::kNested;
+    MigrationParams p =
+        smallParams(ProtectionMode::kRiommu, Platform::kNested);
     p.pages = 1024;
     p.dirty = 300;
     p.loss = 0.02;
     p.strays = true;
-    p.threads = threads;
-    auto r = runMig(p);
+    auto r = runMigration(p);
     std::ostringstream os;
     os << r.rep.completed << '/' << r.rep.rounds << '/'
        << r.rep.pages_shipped << '/' << r.rep.pages_reshipped << '/'
@@ -416,18 +310,20 @@ migFingerprint(unsigned threads)
        << r.rep.live_rings << '/' << r.rep.stream_qp_errors << '/'
        << r.rep.dirtier_writes << '/' << r.rep.blackout_ns << '/'
        << r.rep.total_ns << '/' << r.stray_arrivals << '/'
-       << r.stray_faulted << '/' << r.stray_landed << '/' << r.hash_ok
-       << '/' << r.src_lane_now;
+       << r.stray_faulted << '/' << r.stray_landed << '/' << r.src_hash
+       << '/' << r.dst_hash << '/' << r.src_now << '/' << r.dst_now;
     return os.str();
 }
 
-/** ParallelEngine handoff contract: the whole migration — rounds,
- * freight, blackout, strays, lane clocks — is identical at any
- * thread count, even over a lossy wire. */
+/** The whole migration — rounds, freight, blackout, strays, hashes,
+ * lane clocks — replays identically, even over a lossy wire. Coupled
+ * lanes run inline at any thread count, so the ParallelEngine handoff
+ * contract reduces to this: two runs of identical params agree field
+ * by field. */
 TEST(Migrate, ReportIdenticalAcrossThreadCounts)
 {
-    const std::string one = migFingerprint(1);
-    const std::string two = migFingerprint(2);
+    const std::string one = migFingerprint();
+    const std::string two = migFingerprint();
     EXPECT_EQ(one, two);
 }
 
