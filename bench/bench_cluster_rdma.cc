@@ -54,27 +54,13 @@ struct RowResult
     workloads::FleetReport rep;
 };
 
-workloads::FleetParams
-fleetParamsFor(u32 connections, bool quick)
-{
-    workloads::FleetParams p;
-    p.connections = connections;
-    p.credits = 16; // = sq_depth: fill the CQ batches
-    p.warmup_ops = quick ? 100 : 300;
-    p.measure_ops = quick ? 500 : 3000;
-    p.seed = 3;
-    return p;
-}
-
 RowResult
 runPoint(dma::ProtectionMode mode, const std::string &variant,
-         u32 connections, unsigned machines, unsigned threads,
-         bool quick)
+         u32 connections, unsigned machines, bool quick)
 {
-    const workloads::FleetParams p = fleetParamsFor(connections, quick);
+    const workloads::FleetParams p = bench::fleetParamsFor(connections, quick);
     sys::ClusterConfig cfg;
     cfg.machines = machines;
-    cfg.threads = threads;
     cfg.mode = mode;
     cfg.max_qps = workloads::fleetMaxQps(p, machines);
     if (variant == "rdfetch" || variant == "rdfetch+tier")
@@ -90,10 +76,10 @@ runPoint(dma::ProtectionMode mode, const std::string &variant,
     row.variant = variant;
     row.connections = connections;
     row.rep = workloads::runFleet(cluster, p);
-    RIO_ASSERT(row.rep.leaks_clean, "leaked mappings at ",
-               dma::modeName(mode), " conns=", connections);
-    RIO_ASSERT(row.rep.comp_errors == 0 && row.rep.remote_faults == 0,
-               "unexpected faults at ", dma::modeName(mode));
+    // A lossless, fault-free sweep: error-free and leak-free.
+    const std::string broken = workloads::fleetViolations(cfg, p, row.rep);
+    RIO_ASSERT(broken.empty(), "fleet invariants broke at ",
+               dma::modeName(mode), " conns=", connections, ":\n", broken);
     return row;
 }
 
@@ -142,19 +128,17 @@ main(int argc, char **argv)
     std::vector<RowResult> rows;
     for (const u32 conns : sweep) {
         for (const dma::ProtectionMode mode : bench::evaluatedModes())
-            rows.push_back(runPoint(mode, "base", conns, machines,
-                                    args.threads, quick));
+            rows.push_back(runPoint(mode, "base", conns, machines, quick));
         // Ablations ride the same sweep point.
         rows.push_back(runPoint(dma::ProtectionMode::kRiommu, "rdfetch",
-                                conns, machines, args.threads, quick));
+                                conns, machines, quick));
         rows.push_back(runPoint(dma::ProtectionMode::kRiommu,
-                                "rdfetch+tier", conns, machines,
-                                args.threads, quick));
+                                "rdfetch+tier", conns, machines, quick));
         for (const dma::ProtectionMode mode :
              {dma::ProtectionMode::kStrictPlus,
               dma::ProtectionMode::kDeferPlus})
-            rows.push_back(runPoint(mode, "coredepot", conns, machines,
-                                    args.threads, quick));
+            rows.push_back(
+                runPoint(mode, "coredepot", conns, machines, quick));
     }
 
     // Fig7-equivalent ordering gate at the bare (smallest) point: the

@@ -26,6 +26,7 @@
 #include "nic/profile.h"
 #include "obs/slo.h"
 #include "obs/timeline.h"
+#include "workloads/fleet.h"
 #include "workloads/netperf_rr.h"
 #include "workloads/request_load.h"
 #include "workloads/result.h"
@@ -56,6 +57,21 @@ evaluatedModes()
     static const std::vector<dma::ProtectionMode> modes(
         dma::kEvaluatedModes.begin(), dma::kEvaluatedModes.end());
     return modes;
+}
+
+/** The cluster benches' fleet: @p connections QPs per machine, a full
+ * send queue of credits, seed 3; 3,000 measured ops per machine, 500
+ * when @p quick. */
+inline workloads::FleetParams
+fleetParamsFor(u32 connections, bool quick)
+{
+    workloads::FleetParams p;
+    p.connections = connections;
+    p.credits = 16; // = sq_depth: fill the CQ batches
+    p.warmup_ops = quick ? 100 : 300;
+    p.measure_ops = quick ? 500 : 3000;
+    p.seed = 3;
+    return p;
 }
 
 inline void

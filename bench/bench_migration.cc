@@ -24,6 +24,9 @@
  *    them all.
  *  - Guest RAM is byte-identical on the target (FNV-1a arena hash),
  *    at every dirty rate and loss rate, QP errors included.
+ * The last two, with completion and a leak-free quiesce, are the
+ * migration invariant suite (workloads::migrationViolations), checked
+ * on every run.
  *
  * Every run goes through workloads::runMigration; `--loss 0` is an
  * ordinary loss value for the hostile-wire rows (an unarmed wire).
@@ -48,29 +51,18 @@ namespace {
 using workloads::MigrationParams;
 using workloads::MigrationResult;
 
-/** One audited migration: it must complete with byte-identical guest
- * RAM and quiesce leak-free. */
+/** One audited migration: the migration invariant suite (completion,
+ * byte-identical guest RAM, leak-free quiesce, the per-mode stray
+ * tiers) must hold. */
 MigrationResult
 audited(const MigrationParams &r)
 {
     const MigrationResult o = workloads::runMigration(r);
-    RIO_ASSERT(o.rep.completed && !o.rep.failed,
-               "migration did not complete at ", dma::modeName(r.mode),
-               "/", virt::platformName(r.platform), " loss=", r.loss);
-    RIO_ASSERT(o.src_hash == o.dst_hash, "guest RAM diverged at ",
-               dma::modeName(r.mode), "/",
-               virt::platformName(r.platform), " dirty=", r.dirty,
-               " loss=", r.loss);
-    RIO_ASSERT(o.leaks_clean, "handle leak at ", dma::modeName(r.mode),
-               "/", virt::platformName(r.platform));
+    const std::string broken = workloads::migrationViolations(r, o);
+    RIO_ASSERT(broken.empty(), "migration invariants broke at ",
+               dma::modeName(r.mode), "/", virt::platformName(r.platform),
+               " dirty=", r.dirty, " loss=", r.loss, ":\n", broken);
     return o;
-}
-
-bool
-isProtectedMode(std::string_view n)
-{
-    return n == "riommu-" || n == "riommu" || n == "strict" ||
-           n == "strict+";
 }
 
 void
@@ -102,7 +94,6 @@ jsonRow(bench::JsonWriter &json, const char *variant,
     json.add("stray_arrivals", o.stray_arrivals);
     json.add("stray_faulted", o.stray_faulted);
     json.add("stray_landed", o.stray_landed);
-    json.add("hash_ok", static_cast<u64>(o.src_hash == o.dst_hash));
 }
 
 void
@@ -180,28 +171,9 @@ main(int argc, char **argv)
             r.platform = plat;
             r.dirty = base_dirty;
             r.pages = P;
-                const MigrationResult o = audited(r);
+            const MigrationResult o = audited(r);
             tableRow(t, r, o);
             jsonRow(json, "migrate", r, o);
-
-            const std::string_view n(dma::modeName(mode));
-            RIO_ASSERT(o.stray_arrivals > 0,
-                       "no stray ever reached the migrated-away "
-                       "ledger at ", n, "/", virt::platformName(plat));
-            if (isProtectedMode(n)) {
-                RIO_ASSERT(o.stray_landed == 0, n,
-                           " must stop every post-migration stray, "
-                           "but ", o.stray_landed, " landed");
-                RIO_ASSERT(o.stray_faulted > 0,
-                           "protected mode never faulted a stray");
-            }
-            if (n == "none") {
-                RIO_ASSERT(o.stray_faulted == 0,
-                           "mode none cannot fault, but ",
-                           o.stray_faulted, " strays faulted");
-                RIO_ASSERT(o.stray_landed > 0,
-                           "mode none should land strays");
-            }
             if (dma::modeUsesRiommu(mode) &&
                 (plat == virt::Platform::kEmulated ||
                  plat == virt::Platform::kNested)) {
@@ -210,7 +182,7 @@ main(int argc, char **argv)
                            "rIOMMU state transfer must be one "
                            "hypercall per live ring");
             }
-            base.push_back({std::string(n), plat, o});
+            base.push_back({dma::modeName(mode), plat, o});
         }
         t.addSeparator();
     }

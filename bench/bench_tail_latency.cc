@@ -38,18 +38,6 @@ using namespace rio;
 
 namespace {
 
-workloads::FleetParams
-baseParams(bool quick)
-{
-    workloads::FleetParams p;
-    p.connections = 64;
-    p.credits = 16;
-    p.warmup_ops = quick ? 100 : 300;
-    p.measure_ops = quick ? 500 : 3000;
-    p.seed = 3;
-    return p;
-}
-
 /** Sum of the DMA-management categories (map/unmap bookkeeping, the
  * IOMMU's share of an op) in a per-Cat cycle vector. */
 u64
@@ -67,12 +55,11 @@ dmaCycles(const std::array<u64, obs::kSloMaxCats> &cats)
 
 workloads::FleetReport
 runPoint(dma::ProtectionMode mode, double loss, bool incast,
-         unsigned machines, unsigned threads, bool quick)
+         unsigned machines, bool quick)
 {
-    workloads::FleetParams p = baseParams(quick);
+    workloads::FleetParams p = bench::fleetParamsFor(64, quick);
     sys::ClusterConfig cfg;
     cfg.machines = machines;
-    cfg.threads = threads;
     cfg.mode = mode;
     if (loss > 0.0) {
         // The wire-storm fabric: loss + duplicate/straggler tail,
@@ -92,17 +79,11 @@ runPoint(dma::ProtectionMode mode, double loss, bool incast,
 
     sys::Cluster cluster(cfg);
     const workloads::FleetReport rep = workloads::runFleet(cluster, p);
-    const char *name = dma::modeName(mode);
-    RIO_ASSERT(rep.slo_valid, "SLO recording was off for ", name);
-    RIO_ASSERT(rep.slo.dropped == 0, "SLO recorder overflowed at ",
-               name, " (", rep.slo.dropped, " ops lost)");
-    RIO_ASSERT(rep.completions == rep.posts,
-               "CQE conservation broke at ", name, " loss=", loss);
-    RIO_ASSERT(rep.slo.count == rep.completions,
-               "SLO records must cover every completion at ", name,
-               ": ", rep.slo.count, " records for ", rep.completions,
-               " CQEs");
-    RIO_ASSERT(rep.leaks_clean, "leaked mappings at ", name);
+    // Recording is forced on, so the suite also demands SLO records
+    // covering every completion.
+    const std::string broken = workloads::fleetViolations(cfg, p, rep);
+    RIO_ASSERT(broken.empty(), "fleet invariants broke at ",
+               dma::modeName(mode), " loss=", loss, ":\n", broken);
     return rep;
 }
 
@@ -143,8 +124,8 @@ main(int argc, char **argv)
         for (const bool incast : {false, true}) {
             for (const dma::ProtectionMode mode :
                  bench::evaluatedModes()) {
-                const workloads::FleetReport rep = runPoint(
-                    mode, loss, incast, machines, args.threads, quick);
+                const workloads::FleetReport rep =
+                    runPoint(mode, loss, incast, machines, quick);
                 const obs::SloReport &s = rep.slo;
                 const char *top =
                     cycles::catName(static_cast<cycles::Cat>(s.top_cat));

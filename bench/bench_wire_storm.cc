@@ -26,7 +26,9 @@
  *
  * Conservation gate on every point: completions == posts. A lost
  * packet either recovers by retransmit or surfaces as a QP error that
- * flushes its WQEs as error CQEs — no post may vanish.
+ * flushes its WQEs as error CQEs — no post may vanish. Every gate is
+ * a rule of workloads::fleetViolations, which every fleet caller
+ * shares.
  *
  * `--loss 0` is an ordinary point: the same sweep on an unarmed wire
  * (only the ingress cap of the incast points stays), reliability on.
@@ -44,19 +46,6 @@ using namespace rio;
 
 namespace {
 
-workloads::FleetParams
-baseParams(bool quick)
-{
-    // bench_cluster_rdma's 64-connection point.
-    workloads::FleetParams p;
-    p.connections = 64;
-    p.credits = 16;
-    p.warmup_ops = quick ? 100 : 300;
-    p.measure_ops = quick ? 500 : 3000;
-    p.seed = 3;
-    return p;
-}
-
 struct StormPoint
 {
     dma::ProtectionMode mode;
@@ -67,9 +56,10 @@ struct StormPoint
 
 StormPoint
 runStorm(dma::ProtectionMode mode, double loss, bool incast,
-         unsigned machines, unsigned threads, bool quick)
+         unsigned machines, bool quick)
 {
-    workloads::FleetParams p = baseParams(quick);
+    // bench_cluster_rdma's 64-connection point.
+    workloads::FleetParams p = bench::fleetParamsFor(64, quick);
     p.churn_period_ops = 25; // rebind QPs: stale rkeys for stragglers
     p.churn_abort_fraction = 0.5; // half the churn is app death
     if (incast) {
@@ -79,7 +69,6 @@ runStorm(dma::ProtectionMode mode, double loss, bool incast,
 
     sys::ClusterConfig cfg;
     cfg.machines = machines;
-    cfg.threads = threads;
     cfg.mode = mode;
     cfg.max_qps = workloads::fleetMaxQps(p, machines);
     cfg.wire = sys::stormWire(loss);
@@ -93,36 +82,11 @@ runStorm(dma::ProtectionMode mode, double loss, bool incast,
     pt.loss = loss;
     pt.incast = incast;
     pt.rep = workloads::runFleet(cluster, p);
-
-    // One CQE per post: every loss recovers or errors, none vanish.
-    RIO_ASSERT(pt.rep.completions == pt.rep.posts,
-               "CQE conservation broke at ", dma::modeName(mode),
-               " loss=", loss, ": ", pt.rep.completions, " CQEs for ",
-               pt.rep.posts, " posts");
-    // The protection claim under loss (file header). Scoped to the
-    // rIOMMU modes: they close the stale window *structurally* — a
-    // recycled QP slot regenerates the identical ring-coded rIOVA
-    // (so a matching rkey is the current translation, not a stale
-    // one), and a non-matching rIOVA can belong to no other ring.
-    // The strict modes close the stale-translation window too, but
-    // stay exposed to IOVA reuse under churn: a freed range
-    // re-allocated to a live mapping lets a stale rkey land. Their
-    // late_landed is reported, not asserted — it is the reuse
-    // window's size.
-    const char *name = dma::modeName(mode);
-    const std::string_view n(name);
-    if (n == "riommu-" || n == "riommu") {
-        RIO_ASSERT(pt.rep.late_landed == 0, name,
-                   " must stop every late arrival, but ",
-                   pt.rep.late_landed, " landed");
-    }
-    if (n == "none") {
-        RIO_ASSERT(pt.rep.late_faulted == 0,
-                   "mode none cannot fault, but ", pt.rep.late_faulted,
-                   " late arrivals faulted");
-    }
-    RIO_ASSERT(pt.rep.leaks_clean, "leaked mappings at ", name,
-               " loss=", loss);
+    // CQE conservation, the late-arrival tiers and a leak-free
+    // quiesce (file header): the fleet invariant suite.
+    const std::string broken = workloads::fleetViolations(cfg, p, pt.rep);
+    RIO_ASSERT(broken.empty(), "fleet invariants broke at ",
+               dma::modeName(mode), " loss=", loss, ":\n", broken);
     return pt;
 }
 
@@ -164,8 +128,8 @@ main(int argc, char **argv)
         for (const bool incast : {false, true}) {
             for (const dma::ProtectionMode mode :
                  bench::evaluatedModes()) {
-                const StormPoint pt = runStorm(
-                    mode, l, incast, machines, args.threads, quick);
+                const StormPoint pt =
+                    runStorm(mode, l, incast, machines, quick);
                 const workloads::FleetReport &r = pt.rep;
                 const double good = static_cast<double>(
                     r.completions - r.comp_errors);

@@ -391,21 +391,23 @@ ASAN_ENV = {"ASAN_OPTIONS": "abort_on_error=1:detect_leaks=1",
             "UBSAN_OPTIONS": "print_stacktrace=1"}
 RELEASE = ["-DCMAKE_BUILD_TYPE=Release"]
 ORACLE_FUZZ = "*FaultFuzz*:*IommuFuzz*:*RiommuFuzz*"
+MACHINE_FUZZ, FLEET_FUZZ = "*MachineFuzz*", "*FleetFuzz*"
 CHURN_SEEDS = "401,1201,9001"
 
 LANES = {
     # Tier-1 under ASan+UBSan, then the recovery-path campaigns with
-    # seeds only this lane runs.
+    # seeds only this lane runs (three of the machine seeds draw a
+    # guest platform).
     "asan": Lane("build-asan", ASAN, [], ASAN_ENV, [
         ctest(),
         fuzz(ORACLE_FUZZ, "7001,7919,104729"), test("fault_test"),
-        fuzz("*LifecycleFuzz*", "5501,7703"), test("lifecycle_test"),
-        fuzz("*VirtFuzz*", "6007,28657"), test("virt_test"),
+        fuzz(MACHINE_FUZZ, "5501,7703,6007,28657,17711"),
+        test("lifecycle_test"), test("virt_test"),
         test("magazine_churn_test"),
     ]),
-    # Threads run only for uncoupled sweeps (bench_selfperf); coupled
-    # cluster runs asked for 4 threads must stay inline, so TSan would
-    # flag a second thread touching the cross-lane mailbox or the
+    # Threads run only for uncoupled sweeps (bench_selfperf). The fleet
+    # campaign and the cluster benches must stay on one thread, so TSan
+    # would flag a second thread touching the cross-lane mailbox or the
     # per-lane SLO recorders.
     "tsan": Lane("build-tsan",
                  ["-DRIO_SANITIZE=thread",
@@ -417,7 +419,7 @@ LANES = {
                  [test("parallel_test"), test("obs_test"), test("des_test"),
                   test("spinlock_test"), test("magazine_churn_test"),
                   bench("bench_selfperf", "--threads", "4", "--quick"),
-                  fuzz("*ClusterFuzz*"),
+                  fuzz(FLEET_FUZZ),
                   bench("bench_cluster_rdma", "--connections", "64",
                         "--quick", "--threads", "4"),
                   bench("bench_tail_latency", "--quick", "--slo",
@@ -431,32 +433,37 @@ LANES = {
                ["--quick", "--loss", "0.02", "--timeline-cap", "262144"],
                check_op_trace),
     ]),
-    # An idle guest layer is a no-op; the guest fuzz soak; the full
+    # An idle guest layer is a no-op; the guest fuzz soak (1597, 3571
+    # and 121393 draw shadow, nested and emulated guests); the full
     # platform sweep (which exits nonzero unless nested paging widens
     # the rIOMMU advantage).
     "virt": Lane("build-virt", RELEASE, [], {}, [
         ctest("virt_test|magazine_churn_test|golden_virt"),
-        fuzz("*VirtFuzz*", "9001,31337"),
+        fuzz(MACHINE_FUZZ, "9001,31337,1597,3571,121393"),
         bench("bench_virt"),
     ]),
-    # QP connect/teardown churn, incast and fault NAKs under ASan, and
-    # an erosion sweep through 1K QPs/machine.
+    # QP connect/teardown churn, incast and fault NAKs under ASan
+    # (2971215073 injects faults without the reliability layer), and an
+    # erosion sweep through 1K QPs/machine.
     "cluster": Lane("build-cluster-asan", ASAN,
                     ["cluster_test", "fuzz_test", "bench_cluster_rdma"],
                     ASAN_ENV, [
                         test("cluster_test"),
-                        fuzz("*ClusterFuzz*", "1299709,15485863,32452843"),
+                        fuzz(FLEET_FUZZ,
+                             "1299709,15485863,32452843,2971215073"),
                         row("golden_cluster"),
                         bench("bench_cluster_rdma", "--connections", "1024",
                               "--quick"),
                     ]),
     # Loss, dup, delay, incast drops, go-back-N and QP-error recovery
-    # under ASan, then the full storm sweep with its own asserts.
+    # under ASan (2147483647 and 1073741827 draw a lossy wire), then
+    # the full storm sweep with its own asserts.
     "wire": Lane("build-wire-asan", ASAN,
                  ["cluster_test", "fuzz_test", "bench_wire_storm"],
                  ASAN_ENV, [
                      test("cluster_test"),
-                     fuzz("*WireFuzz*", "2147483647,998244353,613566757"),
+                     fuzz(FLEET_FUZZ, "2147483647,998244353,613566757,"
+                                      "1073741827"),
                      row("golden_wire_storm"),
                      bench("bench_wire_storm", "--quick"),
                  ]),
@@ -469,12 +476,12 @@ LANES = {
                         fuzz("*MigrateFuzz*", "424243,797003,1299709"),
                         row("golden_migration"),
                     ]),
-    # Wider oracle and cluster campaigns on a plain build; the other
+    # Wider oracle and fleet campaigns on a plain build; the other
     # campaigns at their compiled-in seeds.
     "fuzz": Lane("build", [], ["fuzz_test", "fault_test"], {}, [
         fuzz(ORACLE_FUZZ, "11213,19937,2203,86243,216091"),
-        fuzz("*ClusterFuzz*", "104651,611953"),
-        fuzz(f"-{ORACLE_FUZZ}:*ClusterFuzz*"),
+        fuzz(FLEET_FUZZ, "104651,611953"),
+        fuzz(f"-{ORACLE_FUZZ}:{FLEET_FUZZ}"),
         test("fault_test"),
     ]),
     # Surprise unplug/replug: the campaign widened, then one full-stack
@@ -483,7 +490,7 @@ LANES = {
                       ["lifecycle_test", "fuzz_test",
                        "bench_lifecycle_churn", FIG7], {}, [
         test("lifecycle_test"),
-        fuzz("*LifecycleFuzz*", CHURN_SEEDS),
+        fuzz(MACHINE_FUZZ, CHURN_SEEDS),
         *(bench("bench_lifecycle_churn", "--rate", "0.5,2", "--seed", s)
           for s in CHURN_SEEDS.split(",")),
         row("golden_lifecycle"),

@@ -275,8 +275,9 @@ Migrator::onStreamCompletion(u32 qp, u32 wqe, bool ok)
         }
     } else {
         // NAK (target refused the apply) or error-CQE flush: the
-        // chunk goes back to the head of the line. Re-applies are
-        // idempotent, so replays cannot corrupt the target.
+        // chunk goes back to the head of the line. The NIC delivers
+        // each send once, so no late copy of an older re-ship can
+        // overwrite a page the target already holds newer (rdma.h).
         if (page)
             ++rep_.page_naks;
         if (++c.retries > cfg_.retry_cap) {

@@ -35,7 +35,7 @@
  * GuestDirtier; all cross-machine interaction rides the existing
  * QP/wire layer, and coupled lanes run inline at any `--threads`, so
  * a migration replays byte-for-byte (pinned by the golden_migration
- * ctest and Migrate.ReportIdenticalAcrossThreadCounts).
+ * ctest and Migrate.ReportReplaysIdentically).
  */
 #ifndef RIO_MIGRATE_MIGRATE_H
 #define RIO_MIGRATE_MIGRATE_H

@@ -155,6 +155,7 @@ RdmaNic::allocQpBuffers(Qp &q)
     q.src_pa = pm_.allocContiguous(profile_.max_req_bytes);
     q.rd_pa = pm_.allocContiguous(profile_.max_req_bytes);
     q.ops.resize(profile_.sq_depth);
+    q.send_nak.resize(profile_.sq_depth);
     q.bufs_allocated = true;
 }
 
@@ -208,7 +209,10 @@ RdmaNic::freeQp(u32 idx)
     q.on_closed = nullptr;
     q.next_psn = q.epsn = 0;
     q.nak_armed = false;
+    q.send_nak.assign(q.send_nak.size(), false);
     q.retries = q.backoff = 0;
+    ++q.incarnation;
+    q.peer_incarnation = 0;
     for (Op &op : q.ops)
         op = Op{};
     if (was_established && established_ > 0)
@@ -236,6 +240,7 @@ RdmaNic::connect(u32 peer_nic, ConnectCb cb)
     WireMsg msg;
     msg.kind = MsgKind::kConnect;
     msg.src_qp = idx;
+    msg.incarnation = q.incarnation;
     msg.rkey = q.mr_map.device_addr;
     sendAt(peer_nic, wireArrival(core_.virtualNow(), 0), std::move(msg));
     return idx;
@@ -248,7 +253,8 @@ RdmaNic::onConnect(const WireMsg &msg)
     const u32 peer_nic = msg.src_nic;
     const u32 peer_qp = msg.src_qp;
     const u64 peer_rkey = msg.rkey;
-    core_.post([this, peer_nic, peer_qp, peer_rkey] {
+    const u32 peer_inc = msg.incarnation;
+    core_.post([this, peer_nic, peer_qp, peer_rkey, peer_inc] {
         WireMsg reply;
         reply.dst_qp = peer_qp;
         if (free_slots_.empty()) {
@@ -275,10 +281,12 @@ RdmaNic::onConnect(const WireMsg &msg)
         q.peer_nic = peer_nic;
         q.peer_qp = peer_qp;
         q.remote_rkey = peer_rkey;
+        q.peer_incarnation = peer_inc;
         ++established_;
         ++stats_.connects;
         reply.kind = MsgKind::kAccept;
         reply.src_qp = idx;
+        reply.incarnation = q.incarnation;
         reply.rkey = q.mr_map.device_addr;
         sendAt(peer_nic, wireArrival(core_.virtualNow(), 0),
                std::move(reply));
@@ -305,6 +313,7 @@ RdmaNic::onAcceptReject(const WireMsg &msg)
         q.state = QpState::kEstablished;
         q.peer_qp = m.src_qp;
         q.remote_rkey = m.rkey;
+        q.peer_incarnation = m.incarnation;
         ++established_;
         ++stats_.connects;
         if (cb)
@@ -419,6 +428,7 @@ RdmaNic::deviceFetchWqe(u32 qp, u32 w)
     msg.dst_qp = q.peer_qp;
     msg.wqe = w;
     msg.psn = op.psn;
+    msg.incarnation = q.incarnation;
     msg.rkey = q.remote_rkey;
     msg.offset = op.roffset;
     msg.len = op.bytes;
@@ -457,17 +467,24 @@ RdmaNic::onDataAccess(const WireMsg &msg)
     reply.dst_qp = msg.src_qp;
     reply.wqe = msg.wqe;
     reply.psn = msg.psn;
+    reply.incarnation = msg.incarnation;
     reply.trace = msg.trace;
     bool late = false;
+    Qp *rq = nullptr; // the live responder QP (reliability layer only)
     if (rel_.enabled) {
-        Qp *rq = msg.dst_qp < max_qps_ ? &qps_[msg.dst_qp] : nullptr;
+        rq = msg.dst_qp < max_qps_ ? &qps_[msg.dst_qp] : nullptr;
         if (rq && rq->state == QpState::kError)
             return; // dead responder; the kQpError notify explains it
+        // A send must also come from the QP's own peer incarnation
+        // (rdma.h: Qp::incarnation).
         const bool live =
             rq &&
             (rq->state == QpState::kEstablished ||
              rq->state == QpState::kClosing) &&
-            rq->mr_map.device_addr == msg.rkey;
+            rq->mr_map.device_addr == msg.rkey &&
+            (msg.kind != MsgKind::kSend ||
+             (msg.src_nic == rq->peer_nic && msg.src_qp == rq->peer_qp &&
+              msg.incarnation == rq->peer_incarnation));
         if (!live) {
             // Late arrival: the QP is gone (or its slot was recycled
             // under a new MR). No PSN state survives to consult — the
@@ -475,6 +492,7 @@ RdmaNic::onDataAccess(const WireMsg &msg)
             // VA-RDMA last-line-of-defense moment: a revoked mapping
             // must fault, a stale deferred window lets it land.
             late = true;
+            rq = nullptr; // records nothing on a QP it does not serve
             ++stats_.late_arrivals;
             if (migrated_away_)
                 ++stats_.migrated_away_arrivals;
@@ -498,11 +516,21 @@ RdmaNic::onDataAccess(const WireMsg &msg)
             }
             return;
         } else {
-            // Duplicate (retransmit overlap or wire dup). Writes and
-            // reads are idempotent (and sinks must be), so hardware
-            // replays the access and re-acknowledges under the
-            // duplicate's own PSN.
+            // Duplicate (retransmit overlap or wire dup). Hardware
+            // replays a write or read and re-acknowledges under the
+            // duplicate's own PSN. A send is delivered once (RC SEND
+            // semantics): it is re-acked with the first outcome, since
+            // a late copy of an older send could overwrite newer state.
             ++stats_.dup_requests;
+            if (msg.kind == MsgKind::kSend) {
+                reply.ok = !rq->send_nak[msg.psn % profile_.sq_depth];
+                reply.kind = reply.ok ? MsgKind::kAck : MsgKind::kNak;
+                if (!reply.ok)
+                    ++stats_.remote_faults;
+                sendAt(msg.src_nic, wireArrival(sim_.now(), 0),
+                       std::move(reply));
+                return;
+            }
         }
     }
     Status s;
@@ -514,11 +542,17 @@ RdmaNic::onDataAccess(const WireMsg &msg)
         break;
     case MsgKind::kSend:
         // The sink applies the payload (e.g. a page into guest RAM
-        // through THIS machine's IOMMU). A send that outlived its
-        // stream, or arrived where nobody listens, NAKs.
-        s = send_sink_ ? send_sink_(msg)
-                       : Status(ErrorCode::kInvalidArgument,
-                                "no send sink");
+        // through THIS machine's IOMMU). A send at a dead QP NAKs
+        // undelivered — its stream is gone, and a stale payload could
+        // overwrite newer state — as does one where nobody listens.
+        if (late)
+            s = Status(ErrorCode::kInvalidArgument, "send to a dead QP");
+        else if (!send_sink_)
+            s = Status(ErrorCode::kInvalidArgument, "no send sink");
+        else
+            s = send_sink_(msg);
+        if (rq)
+            rq->send_nak[msg.psn % profile_.sq_depth] = !s.isOk();
         break;
     default: // kRead
         ++stats_.remote_reads;
@@ -566,10 +600,12 @@ RdmaNic::onCompletionMsg(const WireMsg &msg)
     if (rel_.enabled) {
         if (q.state == QpState::kError)
             return; // flushed: an error CQE already covers this op
-        if (!op.sent || op.acked || op.psn != msg.psn) {
+        if (!op.sent || op.acked || op.psn != msg.psn ||
+            msg.incarnation != q.incarnation) {
             // Duplicate ack, or an ack for a previous occupant of
-            // this WQE slot — the PSN check makes slot reuse safe
-            // under arbitrary wire delays.
+            // this WQE slot: the PSN check makes slot reuse safe
+            // within one incarnation, the echoed incarnation across a
+            // reconnect (which restarts both the WQE and the PSN).
             ++stats_.stale_acks;
             return;
         }
@@ -791,9 +827,9 @@ void
 RdmaNic::retransmit(u32 qp)
 {
     // Go-back-N: replay every transmitted-unacked op in PSN order
-    // (the responder executes in sequence; duplicates replay
-    // idempotently). Ops still waiting on their first doorbell keep
-    // higher PSNs and go out behind these, preserving order.
+    // (the responder executes in sequence; a duplicate send is
+    // re-acked, not re-delivered). Ops still waiting on their first
+    // doorbell keep higher PSNs and go out behind these.
     Qp &q = qps_[qp];
     std::vector<std::pair<u32, u32>> order; // (psn, slot)
     for (u32 w = 0; w < q.ops.size(); ++w) {

@@ -121,6 +121,9 @@ struct WireMsg
     u32 dst_qp = 0; //!< receiver-side QP index (except kConnect)
     u32 wqe = 0;    //!< initiator op slot, echoed in replies
     u32 psn = 0;    //!< packet sequence number (reliability layer)
+    /** Requester QP incarnation: set on data requests, echoed in
+     * ACK/NAK/read responses; on kConnect/kAccept, the sender's own. */
+    u32 incarnation = 0;
     u64 rkey = 0;   //!< MR device address (handshake / data target)
     u64 offset = 0; //!< byte offset into the target MR; kSend: the tag
     u32 len = 0;
@@ -231,9 +234,9 @@ class RdmaNic
      * freed; the driver decides reconnect vs abandon. */
     using QpErrorCb = std::function<void(u32, u32)>;
     /** Status(msg): target-side apply of one kSend (payload + tag in
-     * msg.offset); an error NAKs the send. Must be idempotent — under
-     * loss the go-back-N layer replays sends, and wire duplicates
-     * re-deliver them. */
+     * msg.offset); an error NAKs the send. Runs once per send: a
+     * duplicate (go-back-N replay or wire copy) is re-acknowledged
+     * with the first delivery's outcome, never re-delivered. */
     using SendSinkFn = std::function<Status(const WireMsg &)>;
 
     RdmaNic(des::Simulator &sim, des::Core &core,
@@ -408,6 +411,16 @@ class RdmaNic
         // Reliability state (untouched while the layer is off).
         u32 next_psn = 0;  //!< requester: next PSN to assign
         u32 epsn = 0;      //!< responder: next PSN expected
+        /** Bumped each time the slot is freed. Replies echo the
+         * requester's, sends carry it to the responder, so traffic of
+         * an earlier occupant never matches the slot's live ops. */
+        u32 incarnation = 0;
+        u32 peer_incarnation = 0; //!< the peer QP's, from the handshake
+        /** Responder: whether the send at PSN p (slot p % sq_depth)
+         * NAKed, replayed to its duplicates. A slot is rewritten only
+         * at PSN p + sq_depth, which the requester cannot post while
+         * p is unacked. */
+        std::vector<bool> send_nak;
         bool nak_armed = false; //!< one kNakSeq per ooo episode
         u32 retries = 0;   //!< go-back-N rounds since last progress
         u32 backoff = 0;   //!< RTO exponent since last progress

@@ -13,9 +13,8 @@
  * RoCE serialization; wire_ns doubles as the engine's conservative
  * lookahead. That makes the lanes coupled, so the engine runs every
  * window inline on the calling thread whatever `threads` says, and
- * runs are byte-identical for any --threads value (the ParallelEngine
- * determinism contract, re-asserted by cluster_test and the
- * golden_cluster ctest).
+ * no bench or test sets it. A run replays byte for byte (the replay
+ * tests in cluster_test and the golden_cluster ctest pin it).
  */
 #ifndef RIO_SYS_CLUSTER_H
 #define RIO_SYS_CLUSTER_H
@@ -35,7 +34,9 @@ namespace rio::sys {
 struct ClusterConfig
 {
     unsigned machines = 2;
-    unsigned threads = 1; //!< no effect: coupled lanes run inline
+    /** No effect: a cluster's lanes are coupled by the wire and run
+     * inline. Only perfbench still sets it. */
+    unsigned threads = 1;
     dma::ProtectionMode mode = dma::ProtectionMode::kRiommu;
     rdma::RdmaProfile profile = rdma::rnicProfile();
     u32 max_qps = 64; //!< QP slots per machine (initiated + accepted)

@@ -6,6 +6,7 @@
 
 #include "base/logging.h"
 #include "base/rng.h"
+#include "base/strings.h"
 #include "dma/protection_mode.h"
 
 namespace rio::workloads {
@@ -375,6 +376,48 @@ runFleet(sys::Cluster &cluster, const FleetParams &params)
         if (!cluster.checkLeaks(m).clean())
             rep.leaks_clean = false;
     return rep;
+}
+
+std::string
+fleetViolations(const sys::ClusterConfig &cfg, const FleetParams &params,
+                const FleetReport &rep)
+{
+    using ull = unsigned long long;
+    std::string out;
+    if (rep.completions != rep.posts)
+        out += strprintf("cqe-conservation: %llu CQEs for %llu posts\n",
+                         ull(rep.completions), ull(rep.posts));
+    if (!cfg.reliability.enabled &&
+        rep.comp_errors != rep.remote_faults + rep.local_fault_drops)
+        out += strprintf("error-accounting: %llu error CQEs, %llu remote "
+                         "+ %llu local faults\n",
+                         ull(rep.comp_errors), ull(rep.remote_faults),
+                         ull(rep.local_fault_drops));
+    if (!rep.leaks_clean)
+        out += "leaks: a machine leaked mappings after quiesce\n";
+    if (dma::modeUsesRiommu(cfg.mode) && rep.late_landed != 0)
+        out += strprintf("late-landed: %llu late arrivals landed\n",
+                         ull(rep.late_landed));
+    if (cfg.mode == dma::ProtectionMode::kNone && cfg.fault_rate == 0.0 &&
+        rep.late_faulted != 0)
+        out += strprintf("late-faulted: %llu late arrivals faulted\n",
+                         ull(rep.late_faulted));
+    if ((obs::sloRecording() || rep.slo_valid) &&
+        (!rep.slo_valid || rep.slo.dropped != 0 ||
+         rep.slo.count != rep.completions))
+        out += strprintf("slo-coverage: %s, %llu records (%llu dropped) "
+                         "for %llu CQEs\n",
+                         rep.slo_valid ? "valid" : "invalid",
+                         ull(rep.slo.count), ull(rep.slo.dropped),
+                         ull(rep.completions));
+    if (!cfg.wire.armed() && cfg.fault_rate == 0.0 &&
+        params.churn_abort_fraction == 0.0 &&
+        (rep.comp_errors | rep.remote_faults | rep.local_fault_drops) != 0)
+        out += strprintf("errors: %llu error CQEs, %llu remote + %llu "
+                         "local faults on a clean run\n",
+                         ull(rep.comp_errors), ull(rep.remote_faults),
+                         ull(rep.local_fault_drops));
+    return out;
 }
 
 } // namespace rio::workloads

@@ -1,7 +1,9 @@
 /**
  * @file
  * Fleet workload: the scale-out RDMA traffic generator behind
- * bench_cluster_rdma. Every machine of a sys::Cluster runs a closed
+ * bench_cluster_rdma, bench_wire_storm, bench_tail_latency and the
+ * FleetFuzz campaign, and the one judge of a fleet run
+ * (fleetViolations). Every machine of a sys::Cluster runs a closed
  * loop of RDMA writes/reads over its established QPs — connection
  * choice Zipf-skewed (a few hot peers, a long tail), request sizes
  * Zipf over a small ladder, optional synchronized incast bursts into
@@ -16,11 +18,13 @@
  * (riommu::RdCacheConfig) is meant to rescue.
  *
  * Determinism: all decisions are lane-local draws from per-machine
- * Rng streams seeded from params.seed + machine id; results are
- * byte-identical for any Cluster thread count.
+ * Rng streams seeded from params.seed + machine id, so a run replays
+ * byte for byte.
  */
 #ifndef RIO_WORKLOADS_FLEET_H
 #define RIO_WORKLOADS_FLEET_H
+
+#include <string>
 
 #include "obs/slo.h"
 #include "riommu/riommu.h"
@@ -139,6 +143,26 @@ struct FleetReport
  * must be freshly constructed (bringUp is called here).
  */
 FleetReport runFleet(sys::Cluster &cluster, const FleetParams &params);
+
+/**
+ * The rules every fleet run must satisfy, judged from its report and
+ * the @p cfg / @p params it ran with. Returns one line per broken
+ * rule, "<rule>: <detail>", and an empty string for a clean run:
+ *   cqe-conservation  one CQE per post (completions == posts);
+ *   error-accounting  without the reliability layer, every error CQE
+ *                     is a target-side or local fault;
+ *   leaks             every machine quiesced leak-free;
+ *   late-landed       the rIOMMU modes let no late arrival land;
+ *   late-faulted      mode none faults no late arrival, unless
+ *                     fault injection is on;
+ *   slo-coverage      with SLO recording on (or records present),
+ *                     they cover every completion, none dropped;
+ *   errors            a lossless, fault-free, abort-free run completes
+ *                     error-free.
+ */
+std::string fleetViolations(const sys::ClusterConfig &cfg,
+                            const FleetParams &params,
+                            const FleetReport &rep);
 
 } // namespace rio::workloads
 

@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "base/logging.h"
+#include "base/strings.h"
 #include "sys/wire.h"
 #include "virt/guest.h"
 
@@ -132,6 +133,33 @@ runMigration(const MigrationParams &p, const MigrationHostility &hostility)
     for (unsigned m = 0; m < 2; ++m) {
         out.leaks_clean &= cl.checkLeaks(m).clean();
         out.leaks_clean &= cl.checkMigLeaks(m).clean();
+    }
+    return out;
+}
+
+std::string
+migrationViolations(const MigrationParams &p, const MigrationResult &r)
+{
+    using ull = unsigned long long;
+    std::string out;
+    if (!r.rep.completed || r.rep.failed)
+        out += strprintf("completed: completed=%d failed=%d\n",
+                         int(r.rep.completed), int(r.rep.failed));
+    if (r.src_hash != r.dst_hash)
+        out += strprintf("arena: source hash %016llx, target %016llx\n",
+                         ull(r.src_hash), ull(r.dst_hash));
+    if (!r.leaks_clean)
+        out += "leaks: a handle leaked mappings after quiesce\n";
+    if (p.strays) {
+        const bool safe = dma::modeIsFullySafe(p.mode);
+        const bool none = p.mode == dma::ProtectionMode::kNone;
+        if (r.stray_arrivals == 0 || (safe && r.stray_landed != 0) ||
+            (safe && r.stray_faulted == 0) ||
+            (none && (r.stray_faulted != 0 || r.stray_landed == 0)))
+            out += strprintf("stray-tier: %s: %llu arrivals, %llu "
+                             "faulted, %llu landed\n",
+                             dma::modeName(p.mode), ull(r.stray_arrivals),
+                             ull(r.stray_faulted), ull(r.stray_landed));
     }
     return out;
 }

@@ -2,7 +2,8 @@
  * @file
  * Migration workload: the one live-migration driver behind
  * bench_migration, the migrate_test suite and the MigrateFuzz
- * campaign. It builds a 2-machine sys::Cluster with the migration
+ * campaign, and the one judge of its result (migrationViolations).
+ * It builds a 2-machine sys::Cluster with the migration
  * overlay (and the wire-storm fabric at loss > 0), wraps both
  * machines in guests when a vIOMMU platform is under test, connects
  * the guest's data-plane QPs plus a stray peer, migrates machine 0's
@@ -25,6 +26,7 @@
 #define RIO_WORKLOADS_MIGRATION_H
 
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "dma/protection_mode.h"
@@ -72,6 +74,22 @@ using MigrationHostility = std::function<void(
 /** Run one live migration of machine 0's guest to machine 1. */
 MigrationResult runMigration(const MigrationParams &params,
                              const MigrationHostility &hostility = {});
+
+/**
+ * The rules every migration must satisfy, whatever the hostility.
+ * Returns one line per broken rule, "<rule>: <detail>", and an empty
+ * string for a clean run:
+ *   completed      the migration completed and did not fail;
+ *   arena          the target's guest RAM equals the source's;
+ *   leaks          guest and hypervisor handles quiesced leak-free;
+ *   stray-tier     with strays on: some reached the migrated-away
+ *                  ledger; the fully safe modes (dma::modeIsFullySafe)
+ *                  landed none and faulted some; mode none faulted
+ *                  none and landed some. The deferring modes' stale
+ *                  window may land strays, so they are not judged.
+ */
+std::string migrationViolations(const MigrationParams &params,
+                                const MigrationResult &result);
 
 } // namespace rio::workloads
 

@@ -7,10 +7,10 @@
  *   - QP lifecycle (connect / traffic / teardown, plus slot
  *     exhaustion and force-quiesce) leaves no mapping, IOTLB or
  *     rIOTLB residue, audited with checkHandleLeaks in all 7 modes;
- *   - fleet runs are bit-for-bit identical across ParallelEngine
- *     thread counts (the golden_cluster check row pins the bench's
- *     JSON to an exact golden), and an idle migration overlay leaves
- *     them untouched;
+ *   - a fleet run under composed hazards replays bit for bit (the
+ *     golden_cluster check row pins the bench's JSON to an exact
+ *     golden), keeps the fleet invariant suite, and an idle migration
+ *     overlay leaves it untouched;
  *   - the rDEVICE descriptor-fetch model and its hot tier count
  *     fetches consistently and default to off.
  */
@@ -286,10 +286,13 @@ TEST(Cluster, PostAdmissionPerVerb)
 
 /** A payload send to a NIC with no send sink is refused at the target
  * like a faulting write: an error CQE at the initiator, one remote
- * fault at the target, and the op's data-ring mapping released. */
+ * fault at the target, and the op's data-ring mapping released. A
+ * duplicate of it is answered with the same NAK, never an ACK. */
 TEST(Cluster, SendWithoutSinkCompletesInError)
 {
-    sys::Cluster cluster(smallConfig(ProtectionMode::kRiommu));
+    sys::ClusterConfig cfg = smallConfig(ProtectionMode::kRiommu);
+    cfg.reliability.enabled = true; // duplicates need PSN state
+    sys::Cluster cluster(cfg);
     cluster.bringUp();
     auto res = cluster.nic(0).connect(1, nullptr);
     ASSERT_TRUE(res.isOk());
@@ -313,6 +316,99 @@ TEST(Cluster, SendWithoutSinkCompletesInError)
     EXPECT_EQ(cluster.nic(0).stats().comp_errors, 1u);
     EXPECT_EQ(cluster.nic(1).stats().remote_faults, faults_before + 1);
     EXPECT_EQ(cluster.handle(0).liveMappings(), maps_before);
+
+    rdma::WireMsg dup;
+    dup.kind = rdma::MsgKind::kSend;
+    dup.dst_nic = 1;
+    dup.src_qp = qp;
+    dup.dst_qp = cluster.nic(0).peerQp(qp);
+    dup.rkey = cluster.nic(1).mrDeviceAddr(dup.dst_qp);
+    dup.len = kPageSize;
+    dup.payload.assign(kPageSize, 0);
+    cluster.nic(1).fromWire(dup);
+    cluster.run();
+    EXPECT_EQ(cluster.nic(1).stats().dup_requests, 1u);
+    EXPECT_EQ(cluster.nic(1).stats().remote_faults, faults_before + 2);
+    EXPECT_EQ(cqes, 1);
+
+    cluster.quiesce();
+    EXPECT_TRUE(cluster.checkLeaks(0).clean());
+    EXPECT_TRUE(cluster.checkLeaks(1).clean());
+}
+
+/** A recycled QP slot restarts its WQE index and PSN at the values its
+ * previous occupant used, so traffic of that earlier incarnation must
+ * never match the new one. A send addressed to the dead slot, or to
+ * its new occupant, is refused undelivered (the sink never runs and
+ * the new QP's sequence is untouched), and a reply echoing the old
+ * requester incarnation is stale even where its WQE slot and PSN
+ * match a live op. */
+TEST(Cluster, EarlierIncarnationNeverMatchesARecycledQp)
+{
+    sys::ClusterConfig cfg = smallConfig(ProtectionMode::kRiommu);
+    cfg.reliability.enabled = true;
+    sys::Cluster cluster(cfg);
+    cluster.bringUp();
+    rdma::RdmaNic &a = cluster.nic(0);
+    rdma::RdmaNic &b = cluster.nic(1);
+    int delivered = 0, cqes_ok = 0;
+    b.setSendSink([&](const rdma::WireMsg &) {
+        ++delivered;
+        return Status::ok();
+    });
+    a.setCompletionCallback([&](u32, u32, bool ok) { cqes_ok += ok; });
+    const u32 qp = a.connect(1, nullptr).value();
+    cluster.run();
+    const u32 peer = a.peerQp(qp);
+
+    // A send of the first incarnation (0): PSN 0, the peer's MR rkey.
+    rdma::WireMsg stale;
+    stale.kind = rdma::MsgKind::kSend;
+    stale.dst_nic = 1;
+    stale.src_qp = qp;
+    stale.dst_qp = peer;
+    stale.rkey = b.mrDeviceAddr(peer);
+    stale.len = 64;
+    stale.payload.assign(64, 0xAB);
+
+    // At the dead slot, then at its new occupant (both ends recycle).
+    ASSERT_TRUE(a.abortQp(qp).isOk());
+    cluster.run();
+    b.fromWire(stale);
+    cluster.run();
+    ASSERT_EQ(a.connect(1, nullptr).value(), qp);
+    cluster.run();
+    ASSERT_EQ(a.peerQp(qp), peer);
+    stale.rkey = b.mrDeviceAddr(peer);
+    b.fromWire(stale);
+    cluster.run();
+    EXPECT_EQ(delivered, 0);
+    EXPECT_EQ(b.stats().late_arrivals, 2u);
+
+    // The new incarnation's own PSN 0 is still the one expected.
+    const PhysAddr page =
+        cluster.machine(0).ctx().memory().allocContiguous(kPageSize);
+    ASSERT_TRUE(a.postSend(qp, page, 64, /*tag=*/7));
+    cluster.run();
+    EXPECT_EQ(delivered, 1);
+
+    // A NAK of the old incarnation for the next send's WQE slot and
+    // PSN, arriving after the fetch but before the real ACK: were it
+    // matched, the send would complete in error.
+    rdma::WireMsg nak;
+    nak.kind = rdma::MsgKind::kNak;
+    nak.ok = false;
+    nak.src_nic = 1;
+    nak.dst_qp = qp;
+    nak.wqe = a.sqTail(qp);
+    nak.psn = 1;
+    const u64 stale_before = a.stats().stale_acks;
+    ASSERT_TRUE(a.postSend(qp, page, 64, /*tag=*/7));
+    cluster.lane(0).sim().scheduleAfter(1000, [&] { a.fromWire(nak); });
+    cluster.run();
+    EXPECT_EQ(a.stats().stale_acks, stale_before + 1);
+    EXPECT_EQ(delivered, 2);
+    EXPECT_EQ(cqes_ok, 2);
 
     cluster.quiesce();
     EXPECT_TRUE(cluster.checkLeaks(0).clean());
@@ -435,36 +531,6 @@ TEST(Cluster, LateArrivalAfterTeardown)
     }
 }
 
-/** Fleet smoke across all 7 evaluated modes: traffic flows, no
- * errors, and the post-quiesce audit is clean everywhere. */
-TEST(Fleet, SmokeAllModes)
-{
-    for (ProtectionMode mode : dma::kEvaluatedModes) {
-        SCOPED_TRACE(dma::modeName(mode));
-        workloads::FleetParams p;
-        p.connections = 8;
-        p.warmup_ops = 20;
-        p.measure_ops = 100;
-        sys::ClusterConfig cfg = smallConfig(mode, 2);
-        cfg.max_qps = workloads::fleetMaxQps(p, cfg.machines);
-        if (dma::modeUsesMagazineAllocator(mode))
-            cfg.iova_cache_rounds = 16; // new depot layering in play
-        sys::Cluster cluster(cfg);
-        auto rep = runFleet(cluster, p);
-        EXPECT_EQ(rep.measured_ops, 2 * p.measure_ops);
-        EXPECT_GT(rep.cycles_per_op, 0.0);
-        EXPECT_EQ(rep.comp_errors, 0u);
-        EXPECT_EQ(rep.remote_faults, 0u);
-        EXPECT_EQ(rep.local_fault_drops, 0u);
-        EXPECT_TRUE(rep.leaks_clean);
-        if (dma::modeUsesRiommu(mode)) {
-            EXPECT_GT(rep.riotlb.lookups, 0u);
-            EXPECT_GT(rep.eob_unmaps, 0u);
-            EXPECT_GE(rep.avg_burst, 1.0);
-        }
-    }
-}
-
 /** One fleet run, printed: `run` holds the FleetReport fields and
  * each lane's clock and event count, `cycles` each machine's
  * whole-run core-0 cycle total. */
@@ -474,10 +540,13 @@ struct FleetPrint
     std::string cycles;
 };
 
-/** @p tweak edits the cluster config last, before the build. */
+using FleetTweak =
+    std::function<void(sys::ClusterConfig &, workloads::FleetParams &)>;
+
+/** @p tweak edits the run's config and params last, before the build;
+ * the run must keep the fleet invariant suite. */
 FleetPrint
-fleetFingerprint(unsigned threads,
-                 const std::function<void(sys::ClusterConfig &)> &tweak = {})
+fleetFingerprint(const FleetTweak &tweak)
 {
     workloads::FleetParams p;
     p.connections = 12;
@@ -489,15 +558,14 @@ fleetFingerprint(unsigned threads,
     p.seed = 7;
     sys::ClusterConfig cfg;
     cfg.machines = 3;
-    cfg.threads = threads;
     cfg.mode = ProtectionMode::kRiommu;
-    cfg.max_qps = workloads::fleetMaxQps(p, cfg.machines);
     cfg.rdcache.model_fetch = true;
     cfg.rdcache.hot_entries = 64;
-    if (tweak)
-        tweak(cfg);
+    tweak(cfg, p);
+    cfg.max_qps = workloads::fleetMaxQps(p, cfg.machines);
     sys::Cluster cluster(cfg);
     auto rep = runFleet(cluster, p);
+    EXPECT_EQ(workloads::fleetViolations(cfg, p, rep), "");
 
     std::ostringstream os, cycles;
     os << rep.measured_ops << '/' << rep.measured_cycles << '/'
@@ -508,6 +576,12 @@ fleetFingerprint(unsigned threads,
        << '/' << rep.completions << '/' << rep.riotlb.lookups << '/'
        << rep.riotlb.walks << '/' << rep.riotlb.invalidations << '/'
        << rep.rdcache.fetches << '/' << rep.rdcache.hot_hits << '/'
+       << rep.retransmits << '/' << rep.rto_fires << '/' << rep.nak_seq
+       << '/' << rep.qp_errors << '/' << rep.qp_error_recovered << '/'
+       << rep.late_arrivals << '/' << rep.late_faulted << '/'
+       << rep.late_landed << '/' << rep.wire_drops << '/'
+       << rep.wire_dups << '/' << rep.wire_delays << '/'
+       << rep.wire_congestion_drops << '/' << rep.wire_peak_queue << '/'
        << rep.p50_latency_ns << '/' << rep.p99_latency_ns << '/'
        << rep.end_ns << '/' << rep.leaks_clean;
     for (unsigned m = 0; m < cluster.size(); ++m) {
@@ -518,14 +592,30 @@ fleetFingerprint(unsigned threads,
     return {os.str(), cycles.str()};
 }
 
-/** The satellite determinism gate: --threads 1 and --threads 3 runs
- * are bit-for-bit identical, down to per-lane event counts. */
-TEST(Fleet, ThreadCountInvariance)
+/** The fleet driver's determinism gate: a run composing every hazard
+ * — fault injection, a lossy wire with duplicates and stragglers, a
+ * bounded ingress port, hard-abort churn, incast — replays bit for
+ * bit, down to per-lane event counts, in all 7 modes. (Coupled lanes
+ * run inline at any thread count, so a replay is the whole contract.) */
+TEST(Fleet, ComposedHazardsReplayIdentically)
 {
-    const FleetPrint one = fleetFingerprint(1);
-    const FleetPrint three = fleetFingerprint(3);
-    EXPECT_EQ(one.run, three.run);
-    EXPECT_EQ(one.cycles, three.cycles);
+    for (ProtectionMode mode : dma::kEvaluatedModes) {
+        SCOPED_TRACE(dma::modeName(mode));
+        const FleetTweak composed = [mode](sys::ClusterConfig &c,
+                                           workloads::FleetParams &p) {
+            c.mode = mode;
+            c.fault_rate = 0.02;
+            c.fault_seed = 5;
+            c.wire = sys::stormWire(0.02);
+            c.wire.ingress_cap = 16;
+            c.reliability.enabled = true;
+            p.churn_abort_fraction = 0.5;
+        };
+        const FleetPrint one = fleetFingerprint(composed);
+        const FleetPrint two = fleetFingerprint(composed);
+        EXPECT_EQ(one.run, two.run);
+        EXPECT_EQ(one.cycles, two.cycles);
+    }
 }
 
 /** The migration overlay is inert until a Migrator runs: a cluster
@@ -538,9 +628,11 @@ TEST(Fleet, IdleMigrationOverlayIsInert)
     for (ProtectionMode mode : dma::kEvaluatedModes) {
         SCOPED_TRACE(dma::modeName(mode));
         const FleetPrint base = fleetFingerprint(
-            1, [mode](sys::ClusterConfig &c) { c.mode = mode; });
-        const FleetPrint overlay =
-            fleetFingerprint(1, [mode](sys::ClusterConfig &c) {
+            [mode](sys::ClusterConfig &c, workloads::FleetParams &) {
+                c.mode = mode;
+            });
+        const FleetPrint overlay = fleetFingerprint(
+            [mode](sys::ClusterConfig &c, workloads::FleetParams &) {
                 c.mode = mode;
                 c.migration = true;
             });
@@ -594,7 +686,7 @@ TEST(Fleet, RdCacheAblationCounts)
  * and churn that go-back-N replays, duplicate deliveries and QP
  * errors all occur, small enough to stay fast. */
 workloads::FleetReport
-runTracedStorm(unsigned threads)
+runTracedStorm()
 {
     workloads::FleetParams p;
     p.connections = 8;
@@ -605,7 +697,6 @@ runTracedStorm(unsigned threads)
     p.seed = 3;
     sys::ClusterConfig cfg;
     cfg.machines = 2;
-    cfg.threads = threads;
     cfg.mode = ProtectionMode::kRiommu;
     cfg.wire.drop_rate = 0.05;
     cfg.wire.dup_rate = 0.15;
@@ -614,7 +705,9 @@ runTracedStorm(unsigned threads)
     cfg.reliability.enabled = true;
     cfg.max_qps = workloads::fleetMaxQps(p, cfg.machines);
     sys::Cluster cluster(cfg);
-    return runFleet(cluster, p);
+    auto rep = runFleet(cluster, p);
+    EXPECT_EQ(workloads::fleetViolations(cfg, p, rep), "");
+    return rep;
 }
 
 /**
@@ -630,7 +723,7 @@ TEST(Tracing, SpanIdentityUnderHostileWire)
     obs::timeline().clear();
     obs::timeline().setCapacity(1u << 20); // retain every event
     obs::timeline().setRecording(true);
-    const auto rep = runTracedStorm(1);
+    const auto rep = runTracedStorm();
     obs::timeline().setRecording(false);
     ASSERT_GT(rep.retransmits, 0u) << "storm must actually replay";
     ASSERT_GT(rep.wire_dups, 0u) << "storm must actually duplicate";
@@ -685,22 +778,22 @@ TEST(Tracing, SpanIdentityUnderHostileWire)
 }
 
 std::string
-timelineFingerprint(unsigned threads)
+timelineFingerprint()
 {
     obs::timeline().clear();
     obs::timeline().setCapacity(1u << 20);
     obs::timeline().setRecording(true);
-    runTracedStorm(threads);
+    runTracedStorm();
     obs::timeline().setRecording(false);
     std::ostringstream os;
     for (const auto &[key, events] : obs::timeline().tracks()) {
         os << "track " << key << "\n";
         for (const obs::Event &e : events) {
             // Flight-dump markers carry the process-wide dump ordinal
-            // in arg — a host-side sequence that depends on which lane
-            // reaches its QP error first in wall-clock time. Every
-            // simulated event (including the marker's virtual time and
-            // trace) is thread-invariant; the ordinal alone is not.
+            // in arg — a host-side count that keeps growing across
+            // runs in one process. Every simulated event (including
+            // the marker's virtual time and trace) replays; the
+            // ordinal alone does not.
             if (e.kind == obs::Ev::kFlightDump)
                 continue;
             os << static_cast<int>(e.kind) << ' ' << e.t << ' '
@@ -714,28 +807,28 @@ timelineFingerprint(unsigned threads)
     return os.str();
 }
 
-/** The tentpole determinism gate: with tracing fully on, the entire
- * event timeline — ids, traces, timestamps, order — is byte-identical
- * between --threads 1 and --threads 4. Trace ids come from
- * lane-confined counters, never a shared atomic. */
-TEST(Tracing, TimelineByteIdenticalAcrossThreadCounts)
+/** The tracing determinism gate: with tracing fully on, the entire
+ * event timeline — ids, traces, timestamps, order — replays byte for
+ * byte. Trace ids come from lane-confined counters, never a shared
+ * atomic. */
+TEST(Tracing, TimelineReplaysByteIdentically)
 {
-    const std::string one = timelineFingerprint(1);
-    const std::string four = timelineFingerprint(4);
+    const std::string one = timelineFingerprint();
+    const std::string two = timelineFingerprint();
     ASSERT_FALSE(one.empty());
-    EXPECT_EQ(one, four);
+    EXPECT_EQ(one, two);
 }
 
-/** Exact SLO records cover every completion, merge deterministically
- * across machines, and attribute the tail to a real category. */
+/** Exact SLO records cover every completion (the fleet suite's
+ * slo-coverage rule, checked inside runTracedStorm while recording is
+ * on), merge deterministically across machines, and attribute the
+ * tail to a real category. */
 TEST(Tracing, SloReportCoversEveryCompletion)
 {
     obs::setSloRecording(true);
-    const auto rep = runTracedStorm(1);
+    const auto rep = runTracedStorm();
     obs::setSloRecording(false);
     ASSERT_TRUE(rep.slo_valid);
-    EXPECT_EQ(rep.slo.dropped, 0u);
-    EXPECT_EQ(rep.slo.count, rep.completions);
     EXPECT_GT(rep.slo.p99, rep.slo.p50);
     EXPECT_GE(rep.slo.p999, rep.slo.p99);
     EXPECT_GE(rep.slo.max, rep.slo.p999);
@@ -747,22 +840,39 @@ TEST(Tracing, SloReportCoversEveryCompletion)
     EXPECT_GT(total_cycles, 0u) << "per-Cat attribution present";
 }
 
-/** Fault injection surfaces as NAKs/local drops, never wedges the
- * closed loop, and still quiesces leak-free. */
+/** Fleet smoke under fault injection without the reliability layer,
+ * churn and incast, in all 7 modes: every error CQE is a NAK or a
+ * local drop (the fleet suite's error-accounting rule), the closed
+ * loop finishes its window, and every mode quiesces leak-free. (The
+ * clean all-mode fleet is golden_cluster's, through the same suite.) */
 TEST(Fleet, FaultInjectionDrainsClean)
 {
-    workloads::FleetParams p;
-    p.connections = 8;
-    p.warmup_ops = 10;
-    p.measure_ops = 80;
-    sys::ClusterConfig cfg = smallConfig(ProtectionMode::kRiommu, 2);
-    cfg.max_qps = workloads::fleetMaxQps(p, cfg.machines);
-    cfg.fault_rate = 0.02;
-    cfg.fault_seed = 11;
-    sys::Cluster cluster(cfg);
-    auto rep = runFleet(cluster, p);
-    EXPECT_EQ(rep.measured_ops, 2 * p.measure_ops);
-    EXPECT_TRUE(rep.leaks_clean);
+    for (ProtectionMode mode : dma::kEvaluatedModes) {
+        SCOPED_TRACE(dma::modeName(mode));
+        workloads::FleetParams p;
+        p.connections = 8;
+        p.warmup_ops = 10;
+        p.measure_ops = 80;
+        p.churn_period_ops = 30;
+        p.incast_period_ops = 25;
+        p.incast_burst = 3;
+        sys::ClusterConfig cfg = smallConfig(mode, 2);
+        cfg.max_qps = workloads::fleetMaxQps(p, cfg.machines);
+        cfg.fault_rate = 0.02;
+        cfg.fault_seed = 11;
+        sys::Cluster cluster(cfg);
+        auto rep = runFleet(cluster, p);
+        EXPECT_EQ(workloads::fleetViolations(cfg, p, rep), "");
+        EXPECT_EQ(rep.measured_ops, 2 * p.measure_ops);
+        EXPECT_GT(rep.cycles_per_op, 0.0);
+        EXPECT_GT(rep.comp_errors, 0u);
+        EXPECT_GT(rep.teardowns, 0u);
+        if (dma::modeUsesRiommu(mode)) {
+            EXPECT_GT(rep.riotlb.lookups, 0u);
+            EXPECT_GT(rep.eob_unmaps, 0u);
+            EXPECT_GE(rep.avg_burst, 1.0);
+        }
+    }
 }
 
 } // namespace

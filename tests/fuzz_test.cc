@@ -1,16 +1,21 @@
 /**
  * @file
- * Randomized cross-checking of the translation hardware against
- * simple reference models: thousands of random map/unmap/access
- * operations where every translate() outcome (address AND
- * fault-or-not) must agree with an oracle built from plain maps.
+ * Randomized checking in two layers. The oracle campaigns cross-check
+ * the translation hardware against simple reference models: thousands
+ * of random map/unmap/access operations where every translate()
+ * outcome (address AND fault-or-not) must agree with an oracle built
+ * from plain maps. The system campaigns compose hazards over the three
+ * drivers — a machine, an RDMA fleet and a live migration — and judge
+ * every run by the driver's invariant suite.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdlib>
 #include <deque>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -175,6 +180,59 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RiommuFuzz,
                                            FuzzParam{6, 6000},
                                            FuzzParam{7, 12000}));
 
+// ---- campaign parameters -------------------------------------------------------
+
+/** One test of a mode x seed campaign. */
+struct ModeSeed
+{
+    dma::ProtectionMode mode;
+    u64 seed;
+};
+
+/** Append seeds from RIO_EXTRA_SEEDS ("101,102,...") to @p seeds,
+ * skipping any already there (a test name must be unique). Every
+ * campaign reads the same variable, so a CI lane widens one campaign
+ * by pairing it with that campaign's --gtest_filter. */
+void
+appendExtraSeeds(std::vector<u64> &seeds)
+{
+    for (const char *p = std::getenv("RIO_EXTRA_SEEDS"); p && *p;) {
+        char *end = nullptr;
+        const u64 v = std::strtoull(p, &end, 10);
+        if (end == p) {
+            ++p; // a separator
+            continue;
+        }
+        if (std::find(seeds.begin(), seeds.end(), v) == seeds.end())
+            seeds.push_back(v);
+        p = end;
+    }
+}
+
+/** Every (mode, seed) pair of @p modes x (@p seeds + RIO_EXTRA_SEEDS). */
+std::vector<ModeSeed>
+modeSeeds(std::vector<u64> seeds,
+          std::span<const dma::ProtectionMode> modes = dma::kEvaluatedModes)
+{
+    appendExtraSeeds(seeds);
+    std::vector<ModeSeed> params;
+    for (dma::ProtectionMode mode : modes)
+        for (u64 seed : seeds)
+            params.push_back({mode, seed});
+    return params;
+}
+
+/** "<mode>_s<seed>" test names. */
+std::string
+modeSeedName(const ::testing::TestParamInfo<ModeSeed> &info)
+{
+    std::string name = dma::modeName(info.param.mode);
+    for (char &c : name)
+        if (c == '-' || c == '+')
+            c = '_';
+    return name + "_s" + std::to_string(info.param.seed);
+}
+
 // ---- fault injection vs oracle -------------------------------------------------
 
 /**
@@ -185,65 +243,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RiommuFuzz,
  * and on the post-recovery translation state (a repaired mapping
  * must translate again).
  */
-struct FaultFuzzParam
-{
-    dma::ProtectionMode mode;
-    u64 seed;
-    int ops;
-};
+constexpr int kFaultFuzzOps = 400;
 
-/** Append seeds from RIO_EXTRA_SEEDS ("101,102,...") to @p seeds.
- * Every campaign reads the same variable, so a CI lane widens one
- * campaign by pairing it with that campaign's --gtest_filter. */
-void
-appendExtraSeeds(std::vector<u64> &seeds)
-{
-    const char *extra = std::getenv("RIO_EXTRA_SEEDS");
-    if (!extra)
-        return;
-    u64 v = 0;
-    bool have = false;
-    for (const char *p = extra;; ++p) {
-        if (*p >= '0' && *p <= '9') {
-            v = v * 10 + static_cast<u64>(*p - '0');
-            have = true;
-        } else {
-            if (have)
-                seeds.push_back(v);
-            v = 0;
-            have = false;
-            if (!*p)
-                break;
-        }
-    }
-}
-
-std::vector<FaultFuzzParam>
-faultFuzzParams()
-{
-    // 8 base seeds; RIO_EXTRA_SEEDS appends more (sanitize CI).
-    std::vector<u64> seeds = {3, 7, 31, 64, 129, 1023, 4096, 65537};
-    appendExtraSeeds(seeds);
-    const std::array<dma::ProtectionMode, 9> all = {
-        dma::ProtectionMode::kStrict,    dma::ProtectionMode::kStrictPlus,
-        dma::ProtectionMode::kDefer,     dma::ProtectionMode::kDeferPlus,
-        dma::ProtectionMode::kRiommuNc,  dma::ProtectionMode::kRiommu,
-        dma::ProtectionMode::kNone,      dma::ProtectionMode::kHwPassthrough,
-        dma::ProtectionMode::kSwPassthrough};
-    std::vector<FaultFuzzParam> params;
-    for (dma::ProtectionMode mode : all)
-        for (u64 seed : seeds)
-            params.push_back({mode, seed, 400});
-    return params;
-}
-
-class FaultFuzz : public ::testing::TestWithParam<FaultFuzzParam>
+class FaultFuzz : public ::testing::TestWithParam<ModeSeed>
 {
 };
 
 TEST_P(FaultFuzz, InjectedFaultsAgreeWithOracle)
 {
-    const auto [mode, seed, ops] = GetParam();
+    const auto [mode, seed] = GetParam();
     constexpr double kRate = 0.2;
     dma::DmaContext ctx;
     cycles::CycleAccount acct;
@@ -269,7 +277,7 @@ TEST_P(FaultFuzz, InjectedFaultsAgreeWithOracle)
 
     u64 predicted = 0;
     u64 v = 0;
-    for (int i = 0; i < ops; ++i) {
+    for (int i = 0; i < kFaultFuzzOps; ++i) {
         const size_t iommu_faults_before = ctx.iommu().faults().size();
         const size_t ring_faults_before = ctx.riommu().faults().size();
         const bool predict = oracle.chance(kRate);
@@ -322,7 +330,7 @@ TEST_P(FaultFuzz, InjectedFaultsAgreeWithOracle)
 
 TEST_P(FaultFuzz, RetryRemapDeliversEveryAccess)
 {
-    const auto [mode, seed, ops] = GetParam();
+    const auto [mode, seed] = GetParam();
     constexpr double kRate = 0.2;
     dma::DmaContext ctx;
     cycles::CycleAccount acct;
@@ -340,7 +348,7 @@ TEST_P(FaultFuzz, RetryRemapDeliversEveryAccess)
 
     u64 predicted = 0;
     u64 v = 0;
-    for (int i = 0; i < ops; ++i) {
+    for (int i = 0; i < kFaultFuzzOps; ++i) {
         predicted += oracle.chance(kRate) ? 1 : 0;
         // Retries replay the access inline (no further draws), so
         // with remap every access must come back successful.
@@ -357,59 +365,46 @@ TEST_P(FaultFuzz, RetryRemapDeliversEveryAccess)
     EXPECT_TRUE(handle->unmap(m.value(), true).isOk());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ModesAndSeeds, FaultFuzz, ::testing::ValuesIn(faultFuzzParams()),
-    [](const ::testing::TestParamInfo<FaultFuzzParam> &info) {
-        std::string name = dma::modeName(info.param.mode);
-        for (char &c : name)
-            if (c == '-' || c == '+')
-                c = '_';
-        return name + "_s" + std::to_string(info.param.seed);
-    });
+// The seven evaluated modes plus both pass-through modes.
+constexpr std::array<dma::ProtectionMode, 9> kAllModes = {
+    dma::ProtectionMode::kStrict,   dma::ProtectionMode::kStrictPlus,
+    dma::ProtectionMode::kDefer,    dma::ProtectionMode::kDeferPlus,
+    dma::ProtectionMode::kRiommuNc, dma::ProtectionMode::kRiommu,
+    dma::ProtectionMode::kNone,     dma::ProtectionMode::kHwPassthrough,
+    dma::ProtectionMode::kSwPassthrough};
 
-// ---- lifecycle churn fuzz ------------------------------------------------------
+INSTANTIATE_TEST_SUITE_P(ModesAndSeeds, FaultFuzz,
+                         ::testing::ValuesIn(modeSeeds(
+                             {3, 7, 31, 64, 129, 1023, 4096, 65537},
+                             kAllModes)),
+                         modeSeedName);
+
+// ---- system campaigns: one per driver ------------------------------------------
+
+// Each runs once per (mode, seed) in all seven evaluated modes, and the
+// seed alone draws the scenario, so a failing test name is its own
+// replay. Fleet and migration runs are judged by their driver's
+// invariant suite; replay determinism is one fingerprint test per
+// driver in cluster_test and migrate_test.
 
 /**
- * Randomized device-lifecycle interleavings: a seeded Rng drives a
- * NIC through bursts of mapped sends, surprise unplugs, detached DMA
- * attempts, and replugs, in every protection mode, with fault
- * injection disarmed. After every removal cleanup the leak detector
- * must come back clean, every detached access must produce exactly
- * one typed record, and the final quiesce must leave nothing behind.
- * RIO_EXTRA_SEEDS appends seeds (the lifecycle CI soak).
+ * Machine campaign: a seeded walk of mapped send bursts, surprise
+ * unplugs mid-burst, DMA through the detached BDF, replugs and map/DMA/
+ * unmap round trips, bare or in a guest the seed draws. Invariants:
+ * leak-free after every removal and the final quiesce; one kDetached
+ * record per detached access; round-trip data intact, a failed map only
+ * kDetached or kOverflow; the shadow table mirrors the guest's; vmexits
+ * only grow; the lifecycle counters match the walk.
  */
-struct LifecycleFuzzParam
-{
-    dma::ProtectionMode mode;
-    u64 seed;
-    int steps;
-};
-
-std::vector<LifecycleFuzzParam>
-lifecycleFuzzParams()
-{
-    std::vector<u64> seeds = {2, 17, 301};
-    appendExtraSeeds(seeds);
-    const std::array<dma::ProtectionMode, 7> modes = {
-        dma::ProtectionMode::kStrict,   dma::ProtectionMode::kStrictPlus,
-        dma::ProtectionMode::kDefer,    dma::ProtectionMode::kDeferPlus,
-        dma::ProtectionMode::kRiommuNc, dma::ProtectionMode::kRiommu,
-        dma::ProtectionMode::kNone};
-    std::vector<LifecycleFuzzParam> params;
-    for (dma::ProtectionMode mode : modes)
-        for (u64 seed : seeds)
-            params.push_back({mode, seed, 60});
-    return params;
-}
-
-class LifecycleFuzz : public ::testing::TestWithParam<LifecycleFuzzParam>
+class MachineFuzz : public ::testing::TestWithParam<ModeSeed>
 {
 };
 
-TEST_P(LifecycleFuzz, RandomUnplugReplugPointsLeakNothing)
+TEST_P(MachineFuzz, BurstsChurnAndDmaLeakNothing)
 {
-    const auto [mode, seed, steps] = GetParam();
+    const auto [mode, seed] = GetParam();
     Rng rng(seed);
+    const virt::Platform platform = virt::kAllPlatforms[rng.below(4)];
     des::Simulator sim;
     nic::NicProfile profile; // small rings for fast runs
     profile.name = "fuzz";
@@ -419,66 +414,97 @@ TEST_P(LifecycleFuzz, RandomUnplugReplugPointsLeakNothing)
     profile.tx_ring_entries = 64;
     profile.tx_completion_batch = 8;
     sys::Machine m(sim, mode, profile);
+    std::optional<virt::Guest> guest; // boot binds + hypercalls
+    if (platform != virt::Platform::kBare)
+        guest.emplace(m, platform);
     m.bringUp();
+    SCOPED_TRACE(virt::platformName(platform));
 
-    u64 expected_detach_faults = 0;
-    u64 unplugs = 0, replugs = 0;
-    for (int i = 0; i < steps; ++i) {
-        if (m.nic().isUp()) {
-            if (rng.chance(0.3)) {
-                // Surprise unplug mid-burst, at a random ring point.
-                const u64 pre = rng.below(24);
-                m.core().post([&, pre] {
-                    for (u64 j = 0;
-                         j < pre && m.nic().txSpacePackets(1000) > 0;
-                         ++j) {
-                        net::Packet pkt;
-                        pkt.payload_bytes = 1000;
-                        ASSERT_TRUE(m.nic().sendPacket(pkt).isOk());
-                    }
-                    m.surpriseUnplugNic(0);
-                    m.removeCleanupNic(0);
-                });
-                sim.run();
-                ++unplugs;
-                const dma::LeakReport rep =
-                    m.ctx().checkHandleLeaks(m.handle());
-                ASSERT_TRUE(rep.clean())
-                    << "step " << i << ": " << rep.toString();
-            } else {
-                const u64 burst = rng.below(16);
-                m.core().post([&, burst] {
-                    for (u64 j = 0;
-                         j < burst && m.nic().txSpacePackets(1000) > 0;
-                         ++j) {
-                        net::Packet pkt;
-                        pkt.payload_bytes = 1000;
-                        ASSERT_TRUE(m.nic().sendPacket(pkt).isOk());
-                    }
-                });
-                sim.run();
-            }
+    auto *baseline = dynamic_cast<dma::BaselineDmaHandle *>(&m.handle());
+    auto checkShadowMirror = [&] {
+        if (platform == virt::Platform::kShadow && baseline) {
+            ASSERT_NE(guest->shadowTable(0), nullptr);
+            EXPECT_EQ(guest->shadowTable(0)->mappedPages(),
+                      baseline->pageTable().mappedPages());
+        }
+    };
+    auto burst = [&](u64 n) {
+        for (u64 j = 0; j < n && m.nic().txSpacePackets(1000) > 0; ++j) {
+            net::Packet pkt;
+            pkt.payload_bytes = 1000;
+            ASSERT_TRUE(m.nic().sendPacket(pkt).isOk());
+        }
+    };
+    // rid 1 is the Tx-buffer ring (rid 0 is full after bringUp in the
+    // rIOMMU modes); mid-outage or a ring full of in-flight Tx buffers
+    // are the legitimate map failures.
+    auto roundTrip = [&](int step) {
+        const PhysAddr buf = m.ctx().memory().allocFrame();
+        auto mapping = m.handle().map(
+            1, buf, 256 + static_cast<u32>(rng.below(1024)),
+            DmaDir::kBidir);
+        if (!mapping.isOk()) {
+            EXPECT_TRUE(mapping.status().code() == ErrorCode::kDetached ||
+                        mapping.status().code() == ErrorCode::kOverflow)
+                << mapping.status().toString();
+            return;
+        }
+        const u64 v = 0xfeed0000 + static_cast<u64>(step);
+        const u64 addr = mapping.value().device_addr;
+        ASSERT_TRUE(m.handle().deviceWrite(addr, &v, 8).isOk());
+        u64 back = 0;
+        ASSERT_TRUE(m.handle().deviceRead(addr, &back, 8).isOk());
+        EXPECT_EQ(back, v) << "step " << step;
+        ASSERT_TRUE(m.handle().unmap(mapping.value(), rng.chance(0.5)).isOk());
+    };
+
+    u64 expected_detach_faults = 0, unplugs = 0, replugs = 0, exits = 0;
+    for (int i = 0; i < 60; ++i) {
+        const u64 action = rng.below(20);
+        if (m.nic().isUp() && action < 6) {
+            // Surprise unplug mid-burst, at a random ring point.
+            const u64 pre = rng.below(24);
+            m.core().post([&, pre] {
+                burst(pre);
+                m.surpriseUnplugNic(0);
+                m.removeCleanupNic(0);
+            });
+            sim.run();
+            ++unplugs;
+            const dma::LeakReport rep = m.ctx().checkHandleLeaks(m.handle());
+            ASSERT_TRUE(rep.clean()) << "step " << i << ": " << rep.toString();
+        } else if (m.nic().isUp() && action < 11) {
+            const u64 n = rng.below(16);
+            m.core().post([&, n] { burst(n); });
+            sim.run();
+        } else if (!m.nic().isUp() && action < 6) {
+            // DMA through the detached BDF: one typed record per
+            // attempt, never undefined behaviour.
+            u64 v = 0;
+            EXPECT_EQ(m.handle().deviceRead(0x4000, &v, 8).code(),
+                      ErrorCode::kDetached);
+            ++expected_detach_faults;
+        } else if (!m.nic().isUp() && action < 15) {
+            m.core().post([&] {
+                Status rs = m.replugNic(0);
+                ASSERT_TRUE(rs.isOk()) << rs.toString();
+            });
+            sim.run();
+            ++replugs;
         } else {
-            if (rng.chance(0.4)) {
-                // DMA through the detached BDF: one typed record per
-                // attempt, never undefined behaviour.
-                u64 v = 0;
-                Status s = m.handle().deviceRead(0x4000, &v, 8);
-                EXPECT_EQ(s.code(), ErrorCode::kDetached);
-                ++expected_detach_faults;
-            } else {
-                m.core().post([&] {
-                    Status rs = m.replugNic(0);
-                    ASSERT_TRUE(rs.isOk()) << rs.toString();
-                });
-                sim.run();
-                ++replugs;
-            }
+            roundTrip(i);
+        }
+        checkShadowMirror();
+        if (guest) {
+            EXPECT_GE(guest->exitModel().exits(), exits);
+            exits = guest->exitModel().exits();
+            EXPECT_EQ(guest->stats().vm_exits, exits);
         }
     }
     EXPECT_EQ(m.handle().detachFaults().size(), expected_detach_faults);
     for (const auto &rec : m.handle().detachFaults())
         EXPECT_EQ(rec.reason, iommu::FaultReason::kDetached);
+    EXPECT_GT(unplugs, 0u) << "the walk never unplugged";
     EXPECT_EQ(m.lifecycleStats().surprise_unplugs, unplugs);
     EXPECT_EQ(m.lifecycleStats().replugs, replugs);
 
@@ -488,246 +514,38 @@ TEST_P(LifecycleFuzz, RandomUnplugReplugPointsLeakNothing)
         sim.run();
     }
     ASSERT_TRUE(m.quiesceNic(0).isOk());
+    EXPECT_TRUE(m.handle().detached());
     const dma::LeakReport final_rep = m.ctx().checkHandleLeaks(m.handle());
     EXPECT_TRUE(final_rep.clean()) << final_rep.toString();
     EXPECT_EQ(m.handle().liveMappings(), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    ModesAndSeeds, LifecycleFuzz,
-    ::testing::ValuesIn(lifecycleFuzzParams()),
-    [](const ::testing::TestParamInfo<LifecycleFuzzParam> &info) {
-        std::string name = dma::modeName(info.param.mode);
-        for (char &c : name)
-            if (c == '-' || c == '+')
-                c = '_';
-        return name + "_s" + std::to_string(info.param.seed);
-    });
-
-// ---- virtualization fuzz -------------------------------------------------------
-
-/**
- * Randomized guest campaigns: boot a guest under each vIOMMU strategy
- * (emulated / shadow / nested), drive a random interleaving of mapped
- * NIC bursts, direct map/DMA/unmap round trips, and surprise
- * unplug/replug cycles, then tear the guest down. Invariants: DMA data
- * written through the handle reads back intact (the stage-2 identity
- * never corrupts the data path), the shadow table mirrors the guest
- * radix table at every step, vmexit counts only grow, the leak
- * detector stays clean across every removal, and the final quiesce
- * leaves nothing behind. RIO_EXTRA_SEEDS appends seeds (CI soak).
- */
-struct VirtFuzzParam
-{
-    dma::ProtectionMode mode;
-    virt::Platform platform;
-    u64 seed;
-    int steps;
-};
-
-std::vector<VirtFuzzParam>
-virtFuzzParams()
-{
-    std::vector<u64> seeds = {13, 59, 277};
-    appendExtraSeeds(seeds);
-    const std::array<virt::Platform, 3> platforms = {
-        virt::Platform::kEmulated, virt::Platform::kShadow,
-        virt::Platform::kNested};
-    // One radix mode, one magazine mode, one rIOMMU mode: the three
-    // translation structures a strategy can trap on.
-    const std::array<dma::ProtectionMode, 3> modes = {
-        dma::ProtectionMode::kStrict, dma::ProtectionMode::kDeferPlus,
-        dma::ProtectionMode::kRiommu};
-    std::vector<VirtFuzzParam> params;
-    for (dma::ProtectionMode mode : modes)
-        for (virt::Platform platform : platforms)
-            for (u64 seed : seeds)
-                params.push_back({mode, platform, seed, 40});
-    return params;
-}
-
-class VirtFuzz : public ::testing::TestWithParam<VirtFuzzParam>
-{
-};
-
-TEST_P(VirtFuzz, GuestBurstsAndChurnStayCoherent)
-{
-    const auto [mode, platform, seed, steps] = GetParam();
-    Rng rng(seed);
-    des::Simulator sim;
-    nic::NicProfile profile;
-    profile.name = "fuzz";
-    profile.tx_buffers_per_packet = 1;
-    profile.rx_rings = 1;
-    profile.rx_ring_entries = 8;
-    profile.tx_ring_entries = 64;
-    profile.tx_completion_batch = 8;
-    sys::Machine m(sim, mode, profile);
-    virt::Guest guest(m, platform); // guest boot: binds + hypercalls
-    m.bringUp();
-
-    auto *baseline = dynamic_cast<dma::BaselineDmaHandle *>(&m.handle());
-    auto checkShadowMirror = [&] {
-        if (platform == virt::Platform::kShadow && baseline) {
-            ASSERT_NE(guest.shadowTable(0), nullptr);
-            EXPECT_EQ(guest.shadowTable(0)->mappedPages(),
-                      baseline->pageTable().mappedPages());
-        }
-    };
-
-    u64 exits_seen = 0;
-    for (int i = 0; i < steps; ++i) {
-        const int action = static_cast<int>(rng.below(3));
-        if (action == 0 && m.nic().isUp()) {
-            const u64 burst = rng.below(12);
-            m.core().post([&, burst] {
-                for (u64 j = 0;
-                     j < burst && m.nic().txSpacePackets(1000) > 0; ++j) {
-                    net::Packet pkt;
-                    pkt.payload_bytes = 1000;
-                    ASSERT_TRUE(m.nic().sendPacket(pkt).isOk());
-                }
-            });
-            sim.run();
-        } else if (action == 1) {
-            // Direct mapped-DMA round trip; data must survive the
-            // strategy's translation path bit for bit. rid 1 is the
-            // Tx-buffer ring (rid 0 holds the static descriptor-ring
-            // mappings and is full after bringUp in rIOMMU modes).
-            const PhysAddr buf = m.ctx().memory().allocFrame();
-            auto mapping = m.handle().map(
-                1, buf, 256 + static_cast<u32>(rng.below(1024)),
-                DmaDir::kBidir);
-            if (mapping.isOk()) {
-                const u64 v = 0xfeed0000 + static_cast<u64>(i);
-                ASSERT_TRUE(m.handle()
-                                .deviceWrite(
-                                    mapping.value().device_addr, &v, 8)
-                                .isOk());
-                u64 back = 0;
-                ASSERT_TRUE(m.handle()
-                                .deviceRead(
-                                    mapping.value().device_addr, &back,
-                                    8)
-                                .isOk());
-                EXPECT_EQ(back, v) << "step " << i;
-                ASSERT_TRUE(m.handle()
-                                .unmap(mapping.value(), rng.chance(0.5))
-                                .isOk());
-            } else {
-                // Mid-outage (detached) or the ring is momentarily
-                // full of in-flight Tx buffers (overflow) — both are
-                // legitimate, recoverable outcomes.
-                EXPECT_TRUE(mapping.status().code() ==
-                                ErrorCode::kDetached ||
-                            mapping.status().code() ==
-                                ErrorCode::kOverflow)
-                    << mapping.status().toString();
-            }
-        } else {
-            if (m.nic().isUp()) {
-                m.core().post([&] {
-                    m.surpriseUnplugNic(0);
-                    m.removeCleanupNic(0);
-                });
-                sim.run();
-                ASSERT_TRUE(
-                    m.ctx().checkHandleLeaks(m.handle()).clean())
-                    << "step " << i;
-            } else {
-                m.core().post(
-                    [&] { ASSERT_TRUE(m.replugNic(0).isOk()); });
-                sim.run();
-            }
-        }
-        checkShadowMirror();
-        // Exits only grow, and the aggregate stats stay coherent.
-        EXPECT_GE(guest.exitModel().exits(), exits_seen);
-        exits_seen = guest.exitModel().exits();
-        EXPECT_EQ(guest.stats().vm_exits, exits_seen);
-    }
-
-    // Teardown: orderly quiesce inside the guest, nothing left over.
-    if (!m.nic().isUp()) {
-        m.core().post([&] { ASSERT_TRUE(m.replugNic(0).isOk()); });
-        sim.run();
-    }
-    ASSERT_TRUE(m.quiesceNic(0).isOk());
-    const dma::LeakReport rep = m.ctx().checkHandleLeaks(m.handle());
-    EXPECT_TRUE(rep.clean()) << rep.toString();
     checkShadowMirror();
-    if (dma::modeUsesRiommu(mode) &&
+    if (guest && dma::modeUsesRiommu(mode) &&
         platform != virt::Platform::kShadow) {
-        EXPECT_GT(guest.stats().hypercalls, 0u);
+        EXPECT_GT(guest->stats().hypercalls, 0u);
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    StrategiesModesSeeds, VirtFuzz,
-    ::testing::ValuesIn(virtFuzzParams()),
-    [](const ::testing::TestParamInfo<VirtFuzzParam> &info) {
-        std::string name = dma::modeName(info.param.mode);
-        for (char &c : name)
-            if (c == '-' || c == '+')
-                c = '_';
-        return name + "_" +
-               virt::platformName(info.param.platform) + "_s" +
-               std::to_string(info.param.seed);
-    });
-
-// ---- cluster fabric fuzz -------------------------------------------------------
+INSTANTIATE_TEST_SUITE_P(ModesAndSeeds, MachineFuzz,
+                         ::testing::ValuesIn(modeSeeds(
+                             {2, 13, 17, 59, 277, 301})),
+                         modeSeedName);
 
 /**
- * Randomized cluster campaigns: a 2-3 machine RDMA fabric under a
- * seed-derived mix of connection churn, incast bursts into machine 0,
- * Zipf-skewed traffic, and (half the seeds) translation-fault
- * injection — the combination that exercises QP slot recycling, the
- * kClosing drain path, NAK completions, and cross-lane mail ordering
- * at once. Each campaign runs twice, at threads = 1 and 3, and the
- * two reports must agree field for field (the parallel engine's
- * determinism contract extended to the full RDMA stack; coupled
- * lanes run inline, so the thread count must not leak in). Invariants
- * on top: every successful post produces exactly one CQE (ok or
- * error), fault-free configs complete error-free, churn configs
- * actually tear down and re-establish QPs, and the leak detector is
- * clean on every machine after quiesce.
- * RIO_EXTRA_SEEDS appends seeds (the sanitize CI soak).
+ * Fleet campaign: a 2-3 machine churning RDMA fabric where the seed
+ * independently arms fault injection, a lossy wire (drop/dup/delay),
+ * a bounded ingress port, hard-abort churn, incast into machine 0 and
+ * the rDEVICE fetch-cache / per-core depot variants; reliability is on
+ * exactly when a hazard needs it. Besides the fleet invariant suite,
+ * the levers must bite: traffic flows, churn takes QPs down, a lossy
+ * wire drops and retransmits.
  */
-struct ClusterFuzzParam
+class FleetFuzz : public ::testing::TestWithParam<ModeSeed>
 {
-    dma::ProtectionMode mode;
-    u64 seed;
 };
 
-std::vector<ClusterFuzzParam>
-clusterFuzzParams()
+TEST_P(FleetFuzz, ComposedHazardsKeepFleetInvariants)
 {
-    std::vector<u64> seeds = {5, 23, 411};
-    appendExtraSeeds(seeds);
-    // One radix mode, one magazine mode, one rIOMMU mode — the three
-    // translation structures the remote-access path can stress.
-    const std::array<dma::ProtectionMode, 3> modes = {
-        dma::ProtectionMode::kStrict, dma::ProtectionMode::kDeferPlus,
-        dma::ProtectionMode::kRiommu};
-    std::vector<ClusterFuzzParam> params;
-    for (dma::ProtectionMode mode : modes)
-        for (u64 seed : seeds)
-            params.push_back({mode, seed});
-    return params;
-}
-
-struct ClusterCampaign
-{
-    workloads::FleetReport rep;
-    double fault_rate = 0;
-    u32 churn_period = 0;
-};
-
-/** Derive the whole campaign shape from @p seed (identically for any
- * @p threads — only the schedule may differ) and run it. */
-ClusterCampaign
-runClusterCampaign(dma::ProtectionMode mode, u64 seed, unsigned threads)
-{
+    const auto [mode, seed] = GetParam();
     Rng shape(seed * 0xD1B54A32D192ED03ULL + 11);
     workloads::FleetParams p;
     p.connections = static_cast<u32>(8u << shape.below(4)); // 8..64
@@ -735,281 +553,72 @@ runClusterCampaign(dma::ProtectionMode mode, u64 seed, unsigned threads)
     p.read_fraction = 0.1 * static_cast<double>(shape.below(5));
     p.credits = static_cast<u32>(shape.range(4, 12));
     p.warmup_ops = 50;
-    p.measure_ops = 300;
-    p.incast_period_ops = static_cast<u32>(shape.range(20, 50));
-    p.incast_burst = static_cast<u32>(shape.range(2, 5));
+    p.measure_ops = 100;
     p.churn_period_ops = static_cast<u32>(shape.range(25, 75));
     p.seed = seed * 77 + 1;
-
     sys::ClusterConfig cfg;
     cfg.machines = static_cast<unsigned>(shape.range(2, 3));
-    cfg.threads = threads;
     cfg.mode = mode;
-    cfg.max_qps = workloads::fleetMaxQps(p, cfg.machines);
-    if (dma::modeUsesRiommu(mode)) {
-        cfg.rdcache.model_fetch = true; // fetch model riding along
-        cfg.rdcache.hot_entries = 64;
-    }
-    if (dma::modeUsesMagazineAllocator(mode))
-        cfg.iova_cache_rounds = 8; // per-core depot pair in play
-    cfg.fault_rate = shape.chance(0.5) ? 0.02 : 0.0;
     cfg.fault_seed = seed + 9;
-
-    ClusterCampaign out;
-    out.fault_rate = cfg.fault_rate;
-    out.churn_period = p.churn_period_ops;
-    sys::Cluster cluster(cfg);
-    out.rep = workloads::runFleet(cluster, p);
-    return out;
-}
-
-class ClusterFuzz : public ::testing::TestWithParam<ClusterFuzzParam>
-{
-};
-
-TEST_P(ClusterFuzz, ChurnIncastFaultsAgreeAcrossThreadCounts)
-{
-    const auto [mode, seed] = GetParam();
-    const ClusterCampaign c1 = runClusterCampaign(mode, seed, 1);
-    const ClusterCampaign c3 = runClusterCampaign(mode, seed, 3);
-    const workloads::FleetReport &r1 = c1.rep;
-    const workloads::FleetReport &r3 = c3.rep;
-
-    // Nothing left mapped on any machine after quiesce.
-    EXPECT_TRUE(r1.leaks_clean);
-    EXPECT_TRUE(r3.leaks_clean);
-
-    // Conservation: one CQE per successful post, ok or error — the
-    // drain at end of run and in the kClosing path loses nothing.
-    EXPECT_EQ(r1.completions, r1.posts);
-    EXPECT_EQ(r3.completions, r3.posts);
-    EXPECT_EQ(r1.comp_errors,
-              r1.remote_faults + r1.local_fault_drops);
-
-    // The campaign actually exercised its levers.
-    EXPECT_GT(r1.measured_ops, 0u);
-    EXPECT_GT(r1.teardowns, 0u) << "churn period " << c1.churn_period
-                                << " never tore a QP down";
-    if (c1.fault_rate == 0.0) {
-        EXPECT_EQ(r1.comp_errors, 0u);
-        EXPECT_EQ(r1.remote_faults, 0u);
-        EXPECT_EQ(r1.local_fault_drops, 0u);
+    if (shape.chance(0.5))
+        cfg.fault_rate = 0.02;
+    if (shape.chance(0.5)) {
+        cfg.wire = sys::stormWire(
+            0.01 * static_cast<double>(shape.range(1, 5))); // 1%..5%
+        cfg.wire.delay_max_ns = 20000 + 10000 * shape.below(5);
     }
-
-    // Thread-count invariance, field for field.
-    EXPECT_EQ(r1.measured_ops, r3.measured_ops);
-    EXPECT_EQ(r1.total_ops, r3.total_ops);
-    EXPECT_EQ(r1.measured_cycles, r3.measured_cycles);
-    EXPECT_DOUBLE_EQ(r1.cycles_per_op, r3.cycles_per_op);
-    EXPECT_EQ(r1.posts, r3.posts);
-    EXPECT_EQ(r1.posts_blocked, r3.posts_blocked);
-    EXPECT_EQ(r1.completions, r3.completions);
-    EXPECT_EQ(r1.comp_errors, r3.comp_errors);
-    EXPECT_EQ(r1.remote_faults, r3.remote_faults);
-    EXPECT_EQ(r1.local_fault_drops, r3.local_fault_drops);
-    EXPECT_EQ(r1.connects, r3.connects);
-    EXPECT_EQ(r1.teardowns, r3.teardowns);
-    EXPECT_EQ(r1.eob_unmaps, r3.eob_unmaps);
-    EXPECT_DOUBLE_EQ(r1.avg_burst, r3.avg_burst);
-    EXPECT_EQ(r1.riotlb.invalidations, r3.riotlb.invalidations);
-    EXPECT_EQ(r1.riotlb.walks, r3.riotlb.walks);
-    EXPECT_EQ(r1.rdcache.fetches, r3.rdcache.fetches);
-    EXPECT_EQ(r1.rdcache.hot_hits, r3.rdcache.hot_hits);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    ModesAndSeeds, ClusterFuzz,
-    ::testing::ValuesIn(clusterFuzzParams()),
-    [](const ::testing::TestParamInfo<ClusterFuzzParam> &info) {
-        std::string name = dma::modeName(info.param.mode);
-        for (char &c : name)
-            if (c == '-' || c == '+')
-                c = '_';
-        return name + "_s" + std::to_string(info.param.seed);
-    });
-
-/**
- * WireFuzz: the ClusterFuzz campaign on a hostile wire — seeded
- * drop/dup/delay injection, bounded ingress ports under incast,
- * hard-abort churn (app death stranding in-flight data), and the
- * RoCE-style reliability layer recovering behind it all. Same
- * determinism contract: each campaign runs at threads = 1 and 3
- * and the reports must agree field for field, now including the
- * retransmit/RTO/QP-error and late-arrival counters. Invariants on
- * top: CQE conservation survives loss (every post completes, ok or
- * error), the non-deferring modes leave no stale window
- * (late_landed == 0), and quiesce is leak-free on every machine.
- * RIO_EXTRA_SEEDS appends seeds (the wire CI soak).
- */
-std::vector<ClusterFuzzParam>
-wireFuzzParams()
-{
-    std::vector<u64> seeds = {7, 31, 502};
-    appendExtraSeeds(seeds);
-    // One radix mode, one deferring mode (the stale-window side of
-    // the late-arrival ledger), one rIOMMU mode.
-    const std::array<dma::ProtectionMode, 3> modes = {
-        dma::ProtectionMode::kStrict, dma::ProtectionMode::kDeferPlus,
-        dma::ProtectionMode::kRiommu};
-    std::vector<ClusterFuzzParam> params;
-    for (dma::ProtectionMode mode : modes)
-        for (u64 seed : seeds)
-            params.push_back({mode, seed});
-    return params;
-}
-
-/** Derive the storm shape from @p seed (identically for any
- * @p threads) and run it. */
-workloads::FleetReport
-runWireCampaign(dma::ProtectionMode mode, u64 seed, unsigned threads)
-{
-    Rng shape(seed * 0x9E3779B97F4A7C15ULL + 3);
-    workloads::FleetParams p;
-    p.connections = static_cast<u32>(8u << shape.below(3)); // 8..32
-    p.credits = static_cast<u32>(shape.range(4, 12));
-    p.warmup_ops = 50;
-    p.measure_ops = 300;
-    p.incast_period_ops = static_cast<u32>(shape.range(20, 50));
-    p.incast_burst = static_cast<u32>(shape.range(2, 5));
-    p.churn_period_ops = static_cast<u32>(shape.range(25, 75));
-    p.churn_abort_fraction = shape.chance(0.5) ? 0.5 : 0.0;
-    p.seed = seed * 131 + 5;
-
-    sys::ClusterConfig cfg;
-    cfg.machines = static_cast<unsigned>(shape.range(2, 3));
-    cfg.threads = threads;
-    cfg.mode = mode;
-    cfg.max_qps = workloads::fleetMaxQps(p, cfg.machines);
-    const double loss =
-        0.01 * static_cast<double>(shape.range(1, 5)); // 1%..5%
-    cfg.wire = sys::stormWire(loss);
-    cfg.wire.delay_max_ns = 20000 + 10000 * shape.below(5);
     if (shape.chance(0.5))
         cfg.wire.ingress_cap = static_cast<u32>(shape.range(8, 24));
-    cfg.reliability.enabled = true;
+    if (shape.chance(0.5))
+        p.churn_abort_fraction = 0.5;
+    if (shape.chance(0.5)) {
+        p.incast_period_ops = static_cast<u32>(shape.range(20, 50));
+        p.incast_burst = static_cast<u32>(shape.range(2, 5));
+    }
+    if (shape.chance(0.5)) {
+        // Each applies to the modes that have the structure.
+        cfg.rdcache.model_fetch = true;
+        cfg.rdcache.hot_entries = 64;
+        cfg.iova_cache_rounds = 8;
+    }
+    cfg.reliability.enabled =
+        cfg.wire.armed() || p.churn_abort_fraction > 0.0;
+    cfg.max_qps = workloads::fleetMaxQps(p, cfg.machines);
 
     sys::Cluster cluster(cfg);
-    return workloads::runFleet(cluster, p);
+    const workloads::FleetReport rep = workloads::runFleet(cluster, p);
+    EXPECT_EQ(workloads::fleetViolations(cfg, p, rep), "");
+    EXPECT_GT(rep.measured_ops, 0u);
+    EXPECT_GT(rep.teardowns + rep.qp_errors, 0u)
+        << "churn period " << p.churn_period_ops << " never took a QP down";
+    if (cfg.wire.drop_rate > 0.0) {
+        EXPECT_GT(rep.wire_drops, 0u);
+        EXPECT_GT(rep.retransmits, 0u);
+    }
 }
 
-class WireFuzz : public ::testing::TestWithParam<ClusterFuzzParam>
+INSTANTIATE_TEST_SUITE_P(ModesAndSeeds, FleetFuzz,
+                         ::testing::ValuesIn(modeSeeds(
+                             {5, 7, 23, 31, 411, 502})),
+                         modeSeedName);
+
+/**
+ * Migration campaign: the seed draws the platform, guest size, dirty
+ * rate, wire loss, fleet width and whether the migration stream's QP
+ * is hard-aborted mid-round (runMigration's hostility hook). Whatever
+ * happened, the migration invariant suite must hold.
+ */
+class MigrateFuzz : public ::testing::TestWithParam<ModeSeed>
 {
 };
 
-TEST_P(WireFuzz, LossyFabricAgreesAcrossThreadCounts)
+TEST_P(MigrateFuzz, HostileMigrationKeepsMigrationInvariants)
 {
     const auto [mode, seed] = GetParam();
-    const workloads::FleetReport r1 = runWireCampaign(mode, seed, 1);
-    const workloads::FleetReport r3 = runWireCampaign(mode, seed, 3);
-
-    EXPECT_TRUE(r1.leaks_clean);
-    EXPECT_TRUE(r3.leaks_clean);
-
-    // Conservation under loss: a dropped packet either recovers by
-    // retransmit or flushes as an error CQE — no post may vanish.
-    EXPECT_EQ(r1.completions, r1.posts);
-    EXPECT_EQ(r3.completions, r3.posts);
-
-    // The storm actually stormed, and the recovery machinery ran.
-    EXPECT_GT(r1.measured_ops, 0u);
-    EXPECT_GT(r1.wire_drops, 0u);
-    EXPECT_GT(r1.retransmits, 0u);
-
-    // The protection claim, tiered. The deferring mode leaves its
-    // stale-translation window open (batched flush). strict closes
-    // that window but stays exposed to IOVA *reuse*: under churn the
-    // freed range can be re-allocated to a live mapping, and a stale
-    // rkey then translates — and lands — through it. Only the
-    // ring-coded rIOVAs close both windows structurally: a recycled
-    // QP slot regenerates the identical address (a matching rkey IS
-    // the current translation), and a non-matching one can belong to
-    // no other ring — it faults.
-    if (dma::modeUsesRiommu(mode)) {
-        EXPECT_EQ(r1.late_landed, 0u);
-        EXPECT_EQ(r3.late_landed, 0u);
-    }
-
-    // Thread-count invariance, field for field — now including the
-    // reliability and wire-port counters.
-    EXPECT_EQ(r1.measured_ops, r3.measured_ops);
-    EXPECT_EQ(r1.total_ops, r3.total_ops);
-    EXPECT_EQ(r1.measured_cycles, r3.measured_cycles);
-    EXPECT_DOUBLE_EQ(r1.cycles_per_op, r3.cycles_per_op);
-    EXPECT_EQ(r1.posts, r3.posts);
-    EXPECT_EQ(r1.posts_blocked, r3.posts_blocked);
-    EXPECT_EQ(r1.completions, r3.completions);
-    EXPECT_EQ(r1.comp_errors, r3.comp_errors);
-    EXPECT_EQ(r1.connects, r3.connects);
-    EXPECT_EQ(r1.teardowns, r3.teardowns);
-    EXPECT_EQ(r1.retransmits, r3.retransmits);
-    EXPECT_EQ(r1.rto_fires, r3.rto_fires);
-    EXPECT_EQ(r1.nak_seq, r3.nak_seq);
-    EXPECT_EQ(r1.qp_errors, r3.qp_errors);
-    EXPECT_EQ(r1.qp_error_recovered, r3.qp_error_recovered);
-    EXPECT_EQ(r1.late_arrivals, r3.late_arrivals);
-    EXPECT_EQ(r1.late_faulted, r3.late_faulted);
-    EXPECT_EQ(r1.late_landed, r3.late_landed);
-    EXPECT_EQ(r1.wire_drops, r3.wire_drops);
-    EXPECT_EQ(r1.wire_dups, r3.wire_dups);
-    EXPECT_EQ(r1.wire_delays, r3.wire_delays);
-    EXPECT_EQ(r1.wire_congestion_drops, r3.wire_congestion_drops);
-    EXPECT_EQ(r1.wire_peak_queue, r3.wire_peak_queue);
-    EXPECT_EQ(r1.p50_latency_ns, r3.p50_latency_ns);
-    EXPECT_EQ(r1.p99_latency_ns, r3.p99_latency_ns);
-    EXPECT_EQ(r1.end_ns, r3.end_ns);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    ModesAndSeeds, WireFuzz, ::testing::ValuesIn(wireFuzzParams()),
-    [](const ::testing::TestParamInfo<ClusterFuzzParam> &info) {
-        std::string name = dma::modeName(info.param.mode);
-        for (char &c : name)
-            if (c == '-' || c == '+')
-                c = '_';
-        return name + "_s" + std::to_string(info.param.seed);
-    });
-
-/**
- * MigrateFuzz: seeded live migrations over a hostile fabric — the
- * shape (platform, guest size, dirty rate, loss, fleet width, and
- * whether the migration stream's QP is hard-aborted mid-round) all
- * derive from the seed. Invariants: the migration always completes,
- * the target arena is byte-identical to the source (no page lost,
- * forked, or double-applied, whatever the wire did), protected modes
- * land zero post-migration strays, both guest and hypervisor handles
- * quiesce leak-free, and two runs of the same seed agree field for
- * field (coupled lanes run inline at any thread count, so the
- * thread-count contract is a replay of identical params). Each run
- * goes through workloads::runMigration. RIO_EXTRA_SEEDS appends seeds
- * (the migration CI soak).
- */
-std::vector<ClusterFuzzParam>
-migrateFuzzParams()
-{
-    std::vector<u64> seeds = {11, 47, 1009};
-    appendExtraSeeds(seeds);
-    const std::array<dma::ProtectionMode, 3> modes = {
-        dma::ProtectionMode::kStrict, dma::ProtectionMode::kDeferPlus,
-        dma::ProtectionMode::kRiommu};
-    std::vector<ClusterFuzzParam> params;
-    for (dma::ProtectionMode mode : modes)
-        for (u64 seed : seeds)
-            params.push_back({mode, seed});
-    return params;
-}
-
-/** Derive the migration shape from @p seed and run it; the seeded
- * mid-round stream abort is the hostility hook. */
-workloads::MigrationResult
-migrateCampaign(dma::ProtectionMode mode, u64 seed)
-{
     Rng shape(seed * 0x9E3779B97F4A7C15ULL + 17);
-    const std::array<virt::Platform, 4> platforms = {
-        virt::Platform::kBare, virt::Platform::kEmulated,
-        virt::Platform::kShadow, virt::Platform::kNested};
     workloads::MigrationParams p;
     p.mode = mode;
-    p.platform = platforms[shape.below(4)];
+    p.platform = virt::kAllPlatforms[shape.below(4)];
     p.pages = 256u << shape.below(3); // 256..1024
     p.dirty = 100.0 * static_cast<double>(shape.range(0, 6));
     p.loss = 0.01 * static_cast<double>(shape.range(0, 4));
@@ -1017,7 +626,7 @@ migrateCampaign(dma::ProtectionMode mode, u64 seed)
     p.dirty_seed = seed * 131 + 7;
     const bool abort_stream = shape.chance(0.5);
     const Nanos abort_at = 20000 * shape.range(1, 8);
-    return workloads::runMigration(
+    const workloads::MigrationResult r = workloads::runMigration(
         p, [&](sys::Cluster &cl, migrate::Migrator &,
                const std::vector<u32> &) {
             if (!abort_stream)
@@ -1029,61 +638,13 @@ migrateCampaign(dma::ProtectionMode mode, u64 seed)
                 });
             });
         });
+    EXPECT_EQ(workloads::migrationViolations(p, r), "");
+    EXPECT_GE(r.rep.pages_shipped, 1u);
 }
 
-class MigrateFuzz : public ::testing::TestWithParam<ClusterFuzzParam>
-{
-};
-
-TEST_P(MigrateFuzz, HostileMigrationConvergesIdenticallyAcrossThreads)
-{
-    const auto [mode, seed] = GetParam();
-    const workloads::MigrationResult c1 = migrateCampaign(mode, seed);
-    const workloads::MigrationResult c2 = migrateCampaign(mode, seed);
-
-    EXPECT_TRUE(c1.rep.completed);
-    EXPECT_FALSE(c1.rep.failed);
-    EXPECT_EQ(c1.src_hash, c1.dst_hash) << "guest RAM diverged";
-    EXPECT_TRUE(c1.leaks_clean);
-    EXPECT_TRUE(c2.leaks_clean);
-    EXPECT_GE(c1.rep.pages_shipped, 1u);
-    if (dma::modeUsesRiommu(mode)) {
-        EXPECT_EQ(c1.stray_landed, 0u);
-    }
-
-    // Replay, field for field.
-    EXPECT_EQ(c1.rep.rounds, c2.rep.rounds);
-    EXPECT_EQ(c1.rep.pages_shipped, c2.rep.pages_shipped);
-    EXPECT_EQ(c1.rep.pages_reshipped, c2.rep.pages_reshipped);
-    EXPECT_EQ(c1.rep.page_naks, c2.rep.page_naks);
-    EXPECT_EQ(c1.rep.state_chunks, c2.rep.state_chunks);
-    EXPECT_EQ(c1.rep.state_bytes, c2.rep.state_bytes);
-    EXPECT_EQ(c1.rep.mappings_replayed, c2.rep.mappings_replayed);
-    EXPECT_EQ(c1.rep.reg_hypercalls, c2.rep.reg_hypercalls);
-    EXPECT_EQ(c1.rep.live_rings, c2.rep.live_rings);
-    EXPECT_EQ(c1.rep.stream_qp_errors, c2.rep.stream_qp_errors);
-    EXPECT_EQ(c1.rep.dirtier_writes, c2.rep.dirtier_writes);
-    EXPECT_EQ(c1.rep.blackout_ns, c2.rep.blackout_ns);
-    EXPECT_EQ(c1.rep.total_ns, c2.rep.total_ns);
-    EXPECT_EQ(c1.src_hash, c2.src_hash);
-    EXPECT_EQ(c1.dst_hash, c2.dst_hash);
-    EXPECT_EQ(c1.stray_arrivals, c2.stray_arrivals);
-    EXPECT_EQ(c1.stray_faulted, c2.stray_faulted);
-    EXPECT_EQ(c1.stray_landed, c2.stray_landed);
-    EXPECT_EQ(c1.src_now, c2.src_now);
-    EXPECT_EQ(c1.dst_now, c2.dst_now);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    ModesAndSeeds, MigrateFuzz,
-    ::testing::ValuesIn(migrateFuzzParams()),
-    [](const ::testing::TestParamInfo<ClusterFuzzParam> &info) {
-        std::string name = dma::modeName(info.param.mode);
-        for (char &c : name)
-            if (c == '-' || c == '+')
-                c = '_';
-        return name + "_s" + std::to_string(info.param.seed);
-    });
+INSTANTIATE_TEST_SUITE_P(ModesAndSeeds, MigrateFuzz,
+                         ::testing::ValuesIn(modeSeeds({11, 47, 1009})),
+                         modeSeedName);
 
 // ---- overflow under pressure ---------------------------------------------------
 

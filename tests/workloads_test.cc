@@ -3,10 +3,16 @@
  * Integration tests over the full simulation stack: the workload
  * drivers reproduce the paper's qualitative results as testable
  * properties — mode ordering, calibration anchors, line-rate capping,
- * latency ordering, and bit-for-bit determinism.
+ * latency ordering, and bit-for-bit determinism — plus the invariant
+ * suites every fleet and migration run is judged by.
  */
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
+#include "workloads/fleet.h"
+#include "workloads/migration.h"
 #include "workloads/netperf_rr.h"
 #include "workloads/storage.h"
 #include "workloads/request_load.h"
@@ -309,6 +315,116 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return n + (std::get<1>(info.param) ? "_brcm" : "_mlx");
     });
+
+// ---- invariant suites -------------------------------------------------
+
+/** @p out is clean (@p rule null) or exactly one line naming @p rule. */
+::testing::AssertionResult
+judged(const std::string &out, const char *rule)
+{
+    const std::string prefix = rule ? std::string(rule) + ": " : "";
+    if (rule ? out.compare(0, prefix.size(), prefix) == 0 &&
+                   out.find('\n') == out.size() - 1
+             : out.empty())
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "want \"" << prefix << "\", got \"" << out << "\"";
+}
+
+/** Each fleet rule fires on a hand-built report that breaks only it;
+ * the clean report and each exemption break none. */
+TEST(InvariantTest, EachFleetRuleFiresAlone)
+{
+    using Edit = void (*)(sys::ClusterConfig &, FleetParams &, FleetReport &);
+    const std::pair<const char *, Edit> cases[] = {
+        {nullptr, [](auto &, auto &, auto &) {}},
+        {"cqe-conservation",
+         [](auto &, auto &, auto &r) { r.completions = 99; }},
+        {"error-accounting",
+         [](auto &c, auto &, auto &r) {
+             c.fault_rate = 0.02; // exempts "errors"
+             r.comp_errors = 2;
+             r.remote_faults = 1;
+         }},
+        {"leaks", [](auto &, auto &, auto &r) { r.leaks_clean = false; }},
+        {"late-landed", [](auto &, auto &, auto &r) { r.late_landed = 1; }},
+        {"late-faulted",
+         [](auto &c, auto &, auto &r) {
+             c.mode = ProtectionMode::kNone;
+             r.late_faulted = 1;
+         }},
+        {nullptr, // injected faults may fault late arrivals in mode none
+         [](auto &c, auto &, auto &r) {
+             c.mode = ProtectionMode::kNone;
+             c.fault_rate = 0.02;
+             r.late_faulted = 1;
+         }},
+        {"slo-coverage",
+         [](auto &, auto &, auto &r) {
+             r.slo_valid = true;
+             r.slo.count = 99;
+         }},
+        {"errors",
+         [](auto &, auto &, auto &r) { r.comp_errors = r.remote_faults = 1; }},
+        {nullptr, // an aborting run may complete in error
+         [](auto &c, auto &p, auto &r) {
+             c.reliability.enabled = true;
+             p.churn_abort_fraction = 0.5;
+             r.comp_errors = 3;
+         }},
+    };
+    for (const auto &[rule, edit] : cases) {
+        sys::ClusterConfig c; // riommu, lossless, fault-free
+        FleetParams p;
+        FleetReport r;
+        r.posts = r.completions = 100;
+        edit(c, p, r);
+        EXPECT_TRUE(judged(fleetViolations(c, p, r), rule));
+    }
+}
+
+/** Each migration rule fires on a hand-built result that breaks only
+ * it, in the mode tier it judges; the clean result, the deferring
+ * modes' strays and a stray-free run break none. */
+TEST(InvariantTest, EachMigrationRuleFiresAlone)
+{
+    using Edit = void (*)(MigrationParams &, MigrationResult &);
+    const std::pair<const char *, Edit> cases[] = {
+        {nullptr, [](auto &, auto &) {}},
+        {"completed", [](auto &, auto &r) { r.rep.completed = false; }},
+        {"completed", [](auto &, auto &r) { r.rep.failed = true; }},
+        {"arena", [](auto &, auto &r) { r.dst_hash = 1; }},
+        {"leaks", [](auto &, auto &r) { r.leaks_clean = false; }},
+        {"stray-tier", [](auto &, auto &r) { r.stray_arrivals = 0; }},
+        {"stray-tier", [](auto &, auto &r) { r.stray_landed = 1; }},
+        {"stray-tier", [](auto &, auto &r) { r.stray_faulted = 0; }},
+        {"stray-tier", [](auto &p, auto &) { p.mode = ProtectionMode::kNone; }},
+        {nullptr,
+         [](auto &p, auto &r) {
+             p.mode = ProtectionMode::kNone;
+             std::swap(r.stray_faulted, r.stray_landed);
+         }},
+        {nullptr,
+         [](auto &p, auto &r) {
+             p.mode = ProtectionMode::kDefer;
+             std::swap(r.stray_faulted, r.stray_landed);
+         }},
+        {nullptr,
+         [](auto &p, auto &r) {
+             p.strays = false;
+             r.stray_arrivals = r.stray_faulted = 0;
+         }},
+    };
+    for (const auto &[rule, edit] : cases) {
+        MigrationParams p; // riommu, strays on
+        MigrationResult r;
+        r.rep.completed = true;
+        r.leaks_clean = true;
+        r.stray_arrivals = r.stray_faulted = 10;
+        edit(p, r);
+        EXPECT_TRUE(judged(migrationViolations(p, r), rule));
+    }
+}
 
 } // namespace
 } // namespace rio::workloads
