@@ -62,25 +62,14 @@ runPoint(dma::ProtectionMode mode, const std::string &variant,
     sys::ClusterConfig cfg;
     cfg.machines = machines;
     cfg.mode = mode;
-    cfg.max_qps = workloads::fleetMaxQps(p, machines);
     if (variant == "rdfetch" || variant == "rdfetch+tier")
         cfg.rdcache.model_fetch = true;
     if (variant == "rdfetch+tier")
         cfg.rdcache.hot_entries = 512;
     if (variant == "coredepot")
         cfg.iova_cache_rounds = 16;
-
-    sys::Cluster cluster(cfg);
-    RowResult row;
-    row.mode = mode;
-    row.variant = variant;
-    row.connections = connections;
-    row.rep = workloads::runFleet(cluster, p);
     // A lossless, fault-free sweep: error-free and leak-free.
-    const std::string broken = workloads::fleetViolations(cfg, p, row.rep);
-    RIO_ASSERT(broken.empty(), "fleet invariants broke at ",
-               dma::modeName(mode), " conns=", connections, ":\n", broken);
-    return row;
+    return {mode, variant, connections, bench::runFleetPoint(cfg, p)};
 }
 
 double

@@ -20,12 +20,15 @@
 #include <type_traits>
 #include <vector>
 
+#include "base/logging.h"
 #include "base/strings.h"
 #include "base/table.h"
 #include "dma/protection_mode.h"
 #include "nic/profile.h"
 #include "obs/slo.h"
 #include "obs/timeline.h"
+#include "sys/cluster.h"
+#include "sys/wire.h"
 #include "workloads/fleet.h"
 #include "workloads/netperf_rr.h"
 #include "workloads/request_load.h"
@@ -72,6 +75,49 @@ fleetParamsFor(u32 connections, bool quick)
     p.measure_ops = quick ? 500 : 3000;
     p.seed = 3;
     return p;
+}
+
+/** Run one fleet point on @p cfg, its QP slots sized for @p p, and
+ * abort unless the run keeps the fleet invariant suite
+ * (workloads::fleetViolations). */
+inline workloads::FleetReport
+runFleetPoint(sys::ClusterConfig cfg, const workloads::FleetParams &p)
+{
+    cfg.max_qps = workloads::fleetMaxQps(p, cfg.machines);
+    sys::Cluster cluster(cfg);
+    const workloads::FleetReport rep = workloads::runFleet(cluster, p);
+    const std::string broken = workloads::fleetViolations(cfg, p, rep);
+    RIO_ASSERT(broken.empty(), "fleet invariants broke at ",
+               dma::modeName(cfg.mode), ":\n", broken);
+    return rep;
+}
+
+/** The wire-storm point of bench_wire_storm and bench_tail_latency:
+ * the 64-QP fleet on sys::stormWire(@p loss); @p churn rebinds a QP
+ * every 25 ops, half of them by app death (stale rkeys for the
+ * stragglers); @p incast adds 12-op bursts into a 16-deep ingress
+ * port that tail-drops. The reliability layer is on wherever a hazard
+ * needs it. */
+inline workloads::FleetReport
+runStormPoint(dma::ProtectionMode mode, double loss, bool incast,
+              bool churn, unsigned machines, bool quick)
+{
+    workloads::FleetParams p = fleetParamsFor(64, quick);
+    sys::ClusterConfig cfg;
+    cfg.machines = machines;
+    cfg.mode = mode;
+    cfg.wire = sys::stormWire(loss);
+    if (churn) {
+        p.churn_period_ops = 25;
+        p.churn_abort_fraction = 0.5;
+    }
+    if (incast) {
+        p.incast_period_ops = 50;
+        p.incast_burst = 12;
+        cfg.wire.ingress_cap = 16;
+    }
+    cfg.reliability.enabled = churn || cfg.wire.armed();
+    return runFleetPoint(cfg, p);
 }
 
 inline void

@@ -31,7 +31,6 @@
 
 #include "base/logging.h"
 #include "cycles/cycle_account.h"
-#include "sys/cluster.h"
 #include "workloads/fleet.h"
 
 using namespace rio;
@@ -51,40 +50,6 @@ dmaCycles(const std::array<u64, obs::kSloMaxCats> &cats)
           cycles::Cat::kUnmapIotlbInv, cycles::Cat::kUnmapOther})
         n += cats[static_cast<size_t>(c)];
     return n;
-}
-
-workloads::FleetReport
-runPoint(dma::ProtectionMode mode, double loss, bool incast,
-         unsigned machines, bool quick)
-{
-    workloads::FleetParams p = bench::fleetParamsFor(64, quick);
-    sys::ClusterConfig cfg;
-    cfg.machines = machines;
-    cfg.mode = mode;
-    if (loss > 0.0) {
-        // The wire-storm fabric: loss + duplicate/straggler tail,
-        // churn with app-death aborts feeding late arrivals.
-        p.churn_period_ops = 25;
-        p.churn_abort_fraction = 0.5;
-        cfg.wire = sys::stormWire(loss);
-        cfg.reliability.enabled = true;
-    }
-    if (incast) {
-        p.incast_period_ops = 50;
-        p.incast_burst = 12;
-        cfg.wire.ingress_cap = 16;
-        cfg.reliability.enabled = true; // armed wire requires it
-    }
-    cfg.max_qps = workloads::fleetMaxQps(p, machines);
-
-    sys::Cluster cluster(cfg);
-    const workloads::FleetReport rep = workloads::runFleet(cluster, p);
-    // Recording is forced on, so the suite also demands SLO records
-    // covering every completion.
-    const std::string broken = workloads::fleetViolations(cfg, p, rep);
-    RIO_ASSERT(broken.empty(), "fleet invariants broke at ",
-               dma::modeName(mode), " loss=", loss, ":\n", broken);
-    return rep;
 }
 
 } // namespace
@@ -124,8 +89,11 @@ main(int argc, char **argv)
         for (const bool incast : {false, true}) {
             for (const dma::ProtectionMode mode :
                  bench::evaluatedModes()) {
-                const workloads::FleetReport rep =
-                    runPoint(mode, loss, incast, machines, quick);
+                // Churn only on a lossy wire. Recording is forced on,
+                // so the invariant suite also demands SLO records
+                // covering every completion.
+                const workloads::FleetReport rep = bench::runStormPoint(
+                    mode, loss, incast, loss > 0.0, machines, quick);
                 const obs::SloReport &s = rep.slo;
                 const char *top =
                     cycles::catName(static_cast<cycles::Cat>(s.top_cat));

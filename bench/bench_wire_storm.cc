@@ -38,59 +38,9 @@
 #include <string>
 #include <vector>
 
-#include "base/logging.h"
-#include "sys/cluster.h"
 #include "workloads/fleet.h"
 
 using namespace rio;
-
-namespace {
-
-struct StormPoint
-{
-    dma::ProtectionMode mode;
-    double loss = 0;
-    bool incast = false;
-    workloads::FleetReport rep;
-};
-
-StormPoint
-runStorm(dma::ProtectionMode mode, double loss, bool incast,
-         unsigned machines, bool quick)
-{
-    // bench_cluster_rdma's 64-connection point.
-    workloads::FleetParams p = bench::fleetParamsFor(64, quick);
-    p.churn_period_ops = 25; // rebind QPs: stale rkeys for stragglers
-    p.churn_abort_fraction = 0.5; // half the churn is app death
-    if (incast) {
-        p.incast_period_ops = 50;
-        p.incast_burst = 12;
-    }
-
-    sys::ClusterConfig cfg;
-    cfg.machines = machines;
-    cfg.mode = mode;
-    cfg.max_qps = workloads::fleetMaxQps(p, machines);
-    cfg.wire = sys::stormWire(loss);
-    if (incast)
-        cfg.wire.ingress_cap = 16; // bounded port: incast tail-drops
-    cfg.reliability.enabled = true;
-
-    sys::Cluster cluster(cfg);
-    StormPoint pt;
-    pt.mode = mode;
-    pt.loss = loss;
-    pt.incast = incast;
-    pt.rep = workloads::runFleet(cluster, p);
-    // CQE conservation, the late-arrival tiers and a leak-free
-    // quiesce (file header): the fleet invariant suite.
-    const std::string broken = workloads::fleetViolations(cfg, p, pt.rep);
-    RIO_ASSERT(broken.empty(), "fleet invariants broke at ",
-               dma::modeName(mode), " loss=", loss, ":\n", broken);
-    return pt;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -128,9 +78,10 @@ main(int argc, char **argv)
         for (const bool incast : {false, true}) {
             for (const dma::ProtectionMode mode :
                  bench::evaluatedModes()) {
-                const StormPoint pt =
-                    runStorm(mode, l, incast, machines, quick);
-                const workloads::FleetReport &r = pt.rep;
+                // CQE conservation, the late-arrival tiers and a
+                // leak-free quiesce (file header) are asserted inside.
+                const workloads::FleetReport r = bench::runStormPoint(
+                    mode, l, incast, /*churn=*/true, machines, quick);
                 const double good = static_cast<double>(
                     r.completions - r.comp_errors);
                 const double goodput_kops =
@@ -152,7 +103,7 @@ main(int argc, char **argv)
                           static_cast<double>(r.qp_errors)},
                          3);
                 json.beginRow();
-                json.add("mode", dma::modeName(pt.mode));
+                json.add("mode", dma::modeName(mode));
                 json.add("variant", "storm");
                 json.add("loss", l);
                 json.add("incast", static_cast<u64>(incast));

@@ -561,7 +561,9 @@ RdmaNic::onDataAccess(const WireMsg &msg)
                                msg.len);
         break;
     }
-    if (late) {
+    // A refused late send never reached the IOMMU: it stays a bare
+    // late arrival, out of the landed/faulted split.
+    if (late && msg.kind != MsgKind::kSend) {
         const bool landed = s.isOk();
         ++(landed ? stats_.late_landed : stats_.late_faulted);
         if (migrated_away_)

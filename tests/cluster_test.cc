@@ -384,6 +384,8 @@ TEST(Cluster, EarlierIncarnationNeverMatchesARecycledQp)
     cluster.run();
     EXPECT_EQ(delivered, 0);
     EXPECT_EQ(b.stats().late_arrivals, 2u);
+    // Refused before any translation: neither landed nor faulted.
+    EXPECT_EQ(b.stats().late_faulted + b.stats().late_landed, 0u);
 
     // The new incarnation's own PSN 0 is still the one expected.
     const PhysAddr page =

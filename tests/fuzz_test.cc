@@ -18,6 +18,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "base/rng.h"
@@ -400,11 +401,20 @@ class MachineFuzz : public ::testing::TestWithParam<ModeSeed>
 {
 };
 
+const std::vector<u64> kMachineSeeds = {2, 13, 17, 59, 277, 301};
+
+/** The walk's first draw: bare (no Guest) or a vIOMMU platform. */
+virt::Platform
+drawPlatform(Rng &rng)
+{
+    return virt::kAllPlatforms[rng.below(4)];
+}
+
 TEST_P(MachineFuzz, BurstsChurnAndDmaLeakNothing)
 {
     const auto [mode, seed] = GetParam();
     Rng rng(seed);
-    const virt::Platform platform = virt::kAllPlatforms[rng.below(4)];
+    const virt::Platform platform = drawPlatform(rng);
     des::Simulator sim;
     nic::NicProfile profile; // small rings for fast runs
     profile.name = "fuzz";
@@ -526,8 +536,7 @@ TEST_P(MachineFuzz, BurstsChurnAndDmaLeakNothing)
 }
 
 INSTANTIATE_TEST_SUITE_P(ModesAndSeeds, MachineFuzz,
-                         ::testing::ValuesIn(modeSeeds(
-                             {2, 13, 17, 59, 277, 301})),
+                         ::testing::ValuesIn(modeSeeds(kMachineSeeds)),
                          modeSeedName);
 
 /**
@@ -543,20 +552,23 @@ class FleetFuzz : public ::testing::TestWithParam<ModeSeed>
 {
 };
 
-TEST_P(FleetFuzz, ComposedHazardsKeepFleetInvariants)
+const std::vector<u64> kFleetSeeds = {5, 7, 23, 31, 411, 502};
+
+/** A fleet campaign scenario, drawn from its seed alone. */
+std::pair<workloads::FleetParams, sys::ClusterConfig>
+fleetShape(dma::ProtectionMode mode, u64 seed)
 {
-    const auto [mode, seed] = GetParam();
     Rng shape(seed * 0xD1B54A32D192ED03ULL + 11);
-    workloads::FleetParams p;
+    std::pair<workloads::FleetParams, sys::ClusterConfig> s;
+    auto &[p, cfg] = s;
     p.connections = static_cast<u32>(8u << shape.below(4)); // 8..64
     p.zipf_theta = 0.5 + 0.1 * static_cast<double>(shape.below(8));
     p.read_fraction = 0.1 * static_cast<double>(shape.below(5));
     p.credits = static_cast<u32>(shape.range(4, 12));
     p.warmup_ops = 50;
-    p.measure_ops = 100;
+    p.measure_ops = 300;
     p.churn_period_ops = static_cast<u32>(shape.range(25, 75));
     p.seed = seed * 77 + 1;
-    sys::ClusterConfig cfg;
     cfg.machines = static_cast<unsigned>(shape.range(2, 3));
     cfg.mode = mode;
     cfg.fault_seed = seed + 9;
@@ -584,7 +596,13 @@ TEST_P(FleetFuzz, ComposedHazardsKeepFleetInvariants)
     cfg.reliability.enabled =
         cfg.wire.armed() || p.churn_abort_fraction > 0.0;
     cfg.max_qps = workloads::fleetMaxQps(p, cfg.machines);
+    return s;
+}
 
+TEST_P(FleetFuzz, ComposedHazardsKeepFleetInvariants)
+{
+    const auto [mode, seed] = GetParam();
+    const auto [p, cfg] = fleetShape(mode, seed);
     sys::Cluster cluster(cfg);
     const workloads::FleetReport rep = workloads::runFleet(cluster, p);
     EXPECT_EQ(workloads::fleetViolations(cfg, p, rep), "");
@@ -598,8 +616,7 @@ TEST_P(FleetFuzz, ComposedHazardsKeepFleetInvariants)
 }
 
 INSTANTIATE_TEST_SUITE_P(ModesAndSeeds, FleetFuzz,
-                         ::testing::ValuesIn(modeSeeds(
-                             {5, 7, 23, 31, 411, 502})),
+                         ::testing::ValuesIn(modeSeeds(kFleetSeeds)),
                          modeSeedName);
 
 /**
@@ -645,6 +662,33 @@ TEST_P(MigrateFuzz, HostileMigrationKeepsMigrationInvariants)
 INSTANTIATE_TEST_SUITE_P(ModesAndSeeds, MigrateFuzz,
                          ::testing::ValuesIn(modeSeeds({11, 47, 1009})),
                          modeSeedName);
+
+/** Tier-1 coverage must not rest on how the draws fall: the
+ * compiled-in seeds put the machine walk on every platform, and arm
+ * each fleet hazard on two seeds or more (14+ scenarios) but not all. */
+TEST(CampaignCoverage, BaseSeedsArmEveryHazard)
+{
+    for (virt::Platform platform : virt::kAllPlatforms)
+        EXPECT_TRUE(std::ranges::any_of(kMachineSeeds, [&](u64 seed) {
+            Rng rng(seed);
+            return drawPlatform(rng) == platform;
+        })) << virt::platformName(platform);
+    // faults, loss, ingress cap, abort churn, incast, rdcache/depot
+    std::array<size_t, 6> armed{};
+    for (u64 seed : kFleetSeeds) {
+        const auto [p, cfg] = fleetShape(dma::ProtectionMode::kRiommu, seed);
+        armed[0] += cfg.fault_rate > 0.0;
+        armed[1] += cfg.wire.drop_rate > 0.0;
+        armed[2] += cfg.wire.ingress_cap > 0;
+        armed[3] += p.churn_abort_fraction > 0.0;
+        armed[4] += p.incast_period_ops > 0;
+        armed[5] += cfg.rdcache.model_fetch;
+    }
+    for (size_t h = 0; h < armed.size(); ++h) {
+        EXPECT_GE(armed[h], 2u) << "hazard " << h;
+        EXPECT_LT(armed[h], kFleetSeeds.size()) << "hazard " << h;
+    }
+}
 
 // ---- overflow under pressure ---------------------------------------------------
 
